@@ -4,13 +4,13 @@
 // partially adaptive turn models (West-first, North-last) with buffer-level
 // selection pay off: column hotspots that deterministic XY funnels through
 // one link.  The eight independent scenarios fan out across cores via
-// core::BatchNocEvaluator.
+// util::ThreadPool::map.
 #include <iostream>
 
-#include "core/batch_eval.hpp"
 #include "noc/simulator.hpp"
 #include "noc/traffic_patterns.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 int main() {
   using namespace snnmap;
@@ -27,24 +27,24 @@ int main() {
     noc::SelectionStrategy selection;
   };
   std::vector<Leg> legs;
-  std::vector<core::NocScenario> scenarios;
   for (const auto routing :
        {noc::MeshRouting::kXY, noc::MeshRouting::kYX,
         noc::MeshRouting::kWestFirst, noc::MeshRouting::kNorthLast}) {
     for (const auto selection :
          {noc::SelectionStrategy::kFirstCandidate,
           noc::SelectionStrategy::kBufferLevel}) {
-      auto topo = noc::Topology::mesh(4, 4);
-      topo.set_mesh_routing(routing);
-      noc::NocConfig config;
-      config.buffer_depth = 2;
-      config.selection = selection;
       legs.push_back({routing, selection});
-      scenarios.push_back({std::move(topo), config, make_traffic()});
     }
   }
-  const auto results =
-      core::BatchNocEvaluator().run_all(std::move(scenarios));
+  util::ThreadPool pool;
+  const auto results = pool.map(legs.size(), [&](std::size_t i) {
+    auto topo = noc::Topology::mesh(4, 4);
+    topo.set_mesh_routing(legs[i].routing);
+    noc::NocConfig config;
+    config.buffer_depth = 2;
+    config.selection = legs[i].selection;
+    return noc::NocSimulator(std::move(topo), config).run(make_traffic());
+  });
 
   util::Table table({"routing", "selection", "avg latency (cycles)",
                      "max latency", "drain time (cycles)",

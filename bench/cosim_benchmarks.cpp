@@ -10,7 +10,7 @@
 //  * a congested run (small cycle budget: measures carried backlog, late
 //    arrivals and verdict withholding),
 //  * a bounded-receive-queue run (drop accounting on top of congestion),
-//  * a batch sweep through core::BatchCoSimEvaluator.
+//  * a cycles-per-timestep sweep fanned out with util::ThreadPool::map.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "apps/synthetic.hpp"
-#include "core/batch_eval.hpp"
 #include "core/framework.hpp"
 #include "core/pacman.hpp"
 #include "core/placement.hpp"
@@ -26,6 +25,7 @@
 #include "hw/architecture.hpp"
 #include "noc/topology.hpp"
 #include "snn/graph.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -110,19 +110,19 @@ void BM_CoSimulator_BatchCptSweep(benchmark::State& state) {
   const std::vector<std::uint32_t> budgets = {2048, 64, 24};
   std::uint64_t steps = 0;
   for (auto _ : state) {
-    noc::Topology topology = noc::Topology::for_architecture(m.arch);
-    core::CoSimScenario base{
-        .build = [&m] { return apps::build_synthetic_network(m.workload); },
-        .partition = m.partition,
-        .placement =
-            core::identity_placement(m.arch.crossbar_count, topology),
-        .topology = std::move(topology),
-        .config = cosim_config(2048),
-        .with_ideal_baseline = false};
-    core::BatchCoSimEvaluator evaluator;
-    const auto outcomes = evaluator.run_cpt_sweep(base, budgets);
-    benchmark::DoNotOptimize(outcomes.size());
-    for (const auto& o : outcomes) steps += o.result.fidelity.steps;
+    const noc::Topology topology = noc::Topology::for_architecture(m.arch);
+    const core::Placement placement =
+        core::identity_placement(m.arch.crossbar_count, topology);
+    util::ThreadPool pool;
+    const auto results = pool.map(budgets.size(), [&](std::size_t i) {
+      snn::Network net = apps::build_synthetic_network(m.workload);
+      cosim::CoSimConfig config = cosim_config(2048);
+      config.cycles_per_timestep = budgets[i];
+      return cosim::CoSimulator(net, m.partition, placement, topology, config)
+          .run();
+    });
+    benchmark::DoNotOptimize(results.size());
+    for (const auto& r : results) steps += r.fidelity.steps;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(steps));
   state.counters["steps_per_sec"] =

@@ -24,11 +24,14 @@
 #include <vector>
 
 #include "apps/registry.hpp"
-#include "core/batch_eval.hpp"
 #include "core/config_io.hpp"
 #include "core/framework.hpp"
 #include "core/placement.hpp"
+#include "cosim/cosim.hpp"
+#include "cosim/fidelity.hpp"
+#include "snn/simulator.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 int main() {
   using namespace snnmap;
@@ -52,10 +55,7 @@ int main() {
   };
   const std::vector<std::uint32_t> budgets = {1024, 64, 32, 16, 8};
 
-  // One scenario per (mapper, cycles_per_timestep); the batch evaluator
-  // fans them across the pool, each with its same-seed ideal baseline.
-  std::vector<core::CoSimScenario> scenarios;
-  std::vector<core::CoSimScenario> frontier_bases;
+  std::vector<core::Partition> partitions;
   for (const auto mapper : mappers) {
     core::MappingFlowConfig flow;
     flow.arch = arch;
@@ -63,43 +63,50 @@ int main() {
     flow.seed = seed;
     flow.pso.swarm_size = 24;
     flow.pso.iterations = 24;
-    core::Partition partition = core::run_partitioner(graph, flow);
-
-    noc::Topology topology = noc::Topology::for_architecture(arch);
-    core::CoSimScenario base{
-        .build = app_net.build,
-        .partition = std::move(partition),
-        .placement = core::identity_placement(arch.crossbar_count, topology),
-        .topology = std::move(topology),
-        .config = {},
-        .with_ideal_baseline = true};
-    base.config.snn = app_net.sim;
-    frontier_bases.push_back(base);
-    for (const std::uint32_t cpt : budgets) {
-      core::CoSimScenario sc = base;
-      sc.config.cycles_per_timestep = cpt;
-      scenarios.push_back(std::move(sc));
-    }
+    partitions.push_back(core::run_partitioner(graph, flow));
   }
+  const noc::Topology topology = noc::Topology::for_architecture(arch);
+  const core::Placement placement =
+      core::identity_placement(arch.crossbar_count, topology);
+  // One closed-loop run of mapper `m` under `config` (SNN config from the
+  // app); every run shares the SNN seed.
+  const auto closed_loop = [&](std::size_t m, cosim::CoSimConfig config) {
+    config.snn = app_net.sim;
+    snn::Network net = app_net.build();
+    return cosim::CoSimulator(net, partitions[m], placement, topology, config)
+        .run();
+  };
+  // Same network, seed and SNN config everywhere, so a single
+  // ideal-interconnect run is the divergence baseline for every row.
+  snn::Network ideal_net = app_net.build();
+  const snn::SimulationResult ideal =
+      snn::Simulator(ideal_net, app_net.sim).run();
 
-  core::BatchCoSimEvaluator evaluator;
-  const auto outcomes = evaluator.run_all(std::move(scenarios));
+  // One run per (mapper, cycles_per_timestep), fanned across the pool.
+  util::ThreadPool pool;
+  const auto outcomes =
+      pool.map(mappers.size() * budgets.size(), [&](std::size_t i) {
+        cosim::CoSimConfig config;
+        config.cycles_per_timestep = budgets[i % budgets.size()];
+        return closed_loop(i / budgets.size(), config);
+      });
 
   util::Table table({"mapper", "cycles/step", "late copies", "miss %",
                      "mean transit", "divergence %"});
   for (std::size_t m = 0; m < mappers.size(); ++m) {
     for (std::size_t b = 0; b < budgets.size(); ++b) {
-      const auto& o = outcomes[m * budgets.size() + b];
+      const cosim::CoSimResult& o = outcomes[m * budgets.size() + b];
       table.begin_row();
       table.cell(core::to_string(mappers[m]));
       table.cell(static_cast<std::size_t>(budgets[b]));
-      table.cell(static_cast<std::size_t>(o.result.fidelity.deadline_misses +
-                                          o.result.fidelity.undelivered));
+      table.cell(static_cast<std::size_t>(o.fidelity.deadline_misses +
+                                          o.fidelity.undelivered));
+      table.cell(util::format_double(o.fidelity.miss_fraction() * 100.0, 2));
+      table.cell(util::format_double(o.fidelity.transit_cycles.mean(), 1));
       table.cell(util::format_double(
-          o.result.fidelity.miss_fraction() * 100.0, 2));
-      table.cell(util::format_double(
-          o.result.fidelity.transit_cycles.mean(), 1));
-      table.cell(util::format_double(o.divergence.fraction() * 100.0, 3));
+          cosim::spike_divergence(ideal.spikes, o.snn.spikes).fraction() *
+              100.0,
+          3));
     }
   }
   std::cout << table.to_ascii();
@@ -119,15 +126,18 @@ int main() {
                "f^2, floor f/4):\n";
   util::Table frontier({"mapper", "policy", "fabric E (uJ)", "vs fixed %",
                         "mean f/f0", "divergence %", "EDP (uJ*cyc)"});
+  const auto dvfs_outcomes =
+      pool.map(mappers.size() * policies.size(), [&](std::size_t i) {
+        cosim::CoSimConfig config;
+        config.cycles_per_timestep = 1024;
+        config.dvfs = policies[i % policies.size()];
+        return closed_loop(i / policies.size(), config);
+      });
   for (std::size_t m = 0; m < mappers.size(); ++m) {
-    core::CoSimScenario base = frontier_bases[m];
-    base.config.cycles_per_timestep = 1024;
-    const auto dvfs_outcomes = evaluator.run_dvfs_sweep(base, policies);
-    const double fixed_energy =
-        dvfs_outcomes[0].result.fidelity.fabric_energy_pj;
+    const cosim::CoSimResult* row = &dvfs_outcomes[m * policies.size()];
+    const double fixed_energy = row[0].fidelity.fabric_energy_pj;
     for (std::size_t p = 0; p < policies.size(); ++p) {
-      const auto& o = dvfs_outcomes[p];
-      const auto& fid = o.result.fidelity;
+      const auto& fid = row[p].fidelity;
       frontier.begin_row();
       frontier.cell(core::to_string(mappers[m]));
       frontier.cell(cosim::to_string(policies[p].kind));
@@ -138,8 +148,11 @@ int main() {
               : 100.0,
           1));
       frontier.cell(util::format_double(fid.freq_scale.mean(), 3));
-      frontier.cell(
-          util::format_double(o.divergence.fraction() * 100.0, 3));
+      frontier.cell(util::format_double(
+          cosim::spike_divergence(ideal.spikes, row[p].snn.spikes)
+                  .fraction() *
+              100.0,
+          3));
       frontier.cell(
           util::format_double(fid.energy_delay_product() * 1e-6, 2));
     }
@@ -148,27 +161,18 @@ int main() {
 
   // Bounded receive queue at the most congested budget: hotspot crossbars
   // start refusing copies, so congestion becomes spike *loss*.
-  core::MappingFlowConfig flow;
-  flow.arch = arch;
-  flow.partitioner = core::PartitionerKind::kPacman;
-  flow.seed = seed;
-  noc::Topology topology = noc::Topology::for_architecture(arch);
-  core::CoSimScenario bounded{
-      .build = app_net.build,
-      .partition = core::run_partitioner(graph, flow),
-      .placement = core::identity_placement(arch.crossbar_count, topology),
-      .topology = std::move(topology),
-      .config = {},
-      .with_ideal_baseline = true};
-  bounded.config.snn = app_net.sim;
-  bounded.config.cycles_per_timestep = budgets.back();
-  bounded.config.receive_queue_depth = 2;
-  const auto dropped = evaluator.run_all({bounded});
-  const auto& fd = dropped[0].result.fidelity;
+  cosim::CoSimConfig bounded;
+  bounded.cycles_per_timestep = budgets.back();
+  bounded.receive_queue_depth = 2;
+  const cosim::CoSimResult dropped = closed_loop(0, bounded);  // pacman
   std::cout << "\nbounded receive queue (depth 2, " << budgets.back()
-            << " cycles/step, pacman): " << fd.receive_drops
+            << " cycles/step, pacman): " << dropped.fidelity.receive_drops
             << " copies dropped, divergence "
-            << util::format_double(dropped[0].divergence.fraction() * 100.0, 3)
+            << util::format_double(
+                   cosim::spike_divergence(ideal.spikes, dropped.snn.spikes)
+                           .fraction() *
+                       100.0,
+                   3)
             << " %\n";
   return 0;
 }

@@ -20,13 +20,13 @@
 
 #include "apps/registry.hpp"
 #include "core/analysis.hpp"
-#include "core/batch_eval.hpp"
 #include "core/config_io.hpp"
 #include "core/framework.hpp"
 #include "cosim/cosim.hpp"
 #include "cosim/fidelity.hpp"
 #include "obs/export.hpp"
 #include "obs/stats_json.hpp"
+#include "snn/simulator.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -424,7 +424,7 @@ int main(int argc, char** argv) {
       }
       // Track layout for the trace exporters (one Perfetto process per
       // chip, one thread per router) — captured before the topology moves
-      // into the scenario.
+      // into the co-simulator.
       obs::TraceTrackInfo tracks;
       tracks.router_chip.resize(cosim_topology.router_count());
       for (noc::RouterId r = 0; r < cosim_topology.router_count(); ++r) {
@@ -436,17 +436,15 @@ int main(int argc, char** argv) {
       }
       std::cerr << "co-simulating (" << cc.cycles_per_timestep
                 << " NoC cycles per timestep)...\n";
-      core::CoSimScenario scenario{
-          .build = app_net.build,
-          .partition = report.partition,
-          .placement = report.placement,
-          .topology = std::move(cosim_topology),
-          .config = cc,
-          .with_ideal_baseline = true};
-      core::BatchCoSimEvaluator evaluator(1);
-      const auto outcome = evaluator.run_all({std::move(scenario)});
-      const cosim::CoSimResult& cs = outcome[0].result;
-      const cosim::SpikeDivergence& divergence = outcome[0].divergence;
+      snn::Network cosim_net = app_net.build();
+      const cosim::CoSimResult cs =
+          cosim::CoSimulator(cosim_net, report.partition, report.placement,
+                             std::move(cosim_topology), cc)
+              .run();
+      // Same-seed run over an ideal interconnect: the divergence baseline.
+      snn::Network ideal_net = app_net.build();
+      const cosim::SpikeDivergence divergence = cosim::spike_divergence(
+          snn::Simulator(ideal_net, cc.snn).run().spikes, cs.snn.spikes);
 
       util::Table fidelity({"co-sim metric", "value"});
       fidelity.add_row({"cycles per timestep",

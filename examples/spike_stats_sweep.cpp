@@ -2,7 +2,7 @@
 // single-seed point estimate.  The spike counts that annotate the synapse
 // graph (Sec. III) come from stochastic Poisson-driven simulations, so this
 // example fans the same workload across many seeds with
-// core::BatchSnnEvaluator and reports the per-population firing-rate spread
+// util::ThreadPool::map and reports the per-population firing-rate spread
 // — cheap uncertainty bands instead of one arbitrary draw.
 //
 //   ./build/examples/spike_stats_sweep
@@ -10,12 +10,12 @@
 #include <iostream>
 #include <vector>
 
-#include "core/batch_eval.hpp"
 #include "snn/network.hpp"
 #include "snn/simulator.hpp"
 #include "snn/spike_train.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -50,10 +50,15 @@ int main() {
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t s = 1; s <= 16; ++s) seeds.push_back(s);
 
-  core::BatchSnnEvaluator evaluator;  // threads auto-resolve
-  std::cout << "Sweeping " << seeds.size() << " seeds on "
-            << evaluator.thread_count() << " thread(s)...\n\n";
-  const auto runs = evaluator.run_seeds(workload, config, seeds);
+  util::ThreadPool pool;  // threads auto-resolve
+  std::cout << "Sweeping " << seeds.size() << " seeds on " << pool.size()
+            << " thread(s)...\n\n";
+  const auto runs = pool.map(seeds.size(), [&](std::size_t i) {
+    snn::Network run_net = workload();
+    snn::SimulationConfig run_config = config;
+    run_config.seed = seeds[i];
+    return snn::Simulator(run_net, run_config).run();
+  });
 
   // Per-population mean rate across seeds.
   const snn::Network net = workload();
@@ -65,7 +70,7 @@ int main() {
     for (std::size_t r = 0; r < runs.size(); ++r) {
       std::uint64_t spikes = 0;
       for (snn::NeuronId id = group.first; id < group.last(); ++id) {
-        spikes += runs[r].result.spikes[id].size();
+        spikes += runs[r].spikes[id].size();
       }
       const double rate = static_cast<double>(spikes) /
                           static_cast<double>(group.size) /

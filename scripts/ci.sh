@@ -7,10 +7,12 @@
 #   2. Release   — -O3 -DNDEBUG, the configuration the benchmarks and the
 #                  perf acceptance numbers (scripts/bench.sh) are measured in.
 #   3. Sanitize  — Debug + AddressSanitizer + UndefinedBehaviorSanitizer
-#                  (-fno-sanitize-recover, so any finding fails the leg).
+#                  (-fno-sanitize-recover, so any finding fails the leg),
+#                  plus -D_GLIBCXX_ASSERTIONS so libstdc++ bounds-checks
+#                  every operator[] in the flat-array hot loops.
 #   4. TSan      — Debug + ThreadSanitizer over the concurrency surface:
-#                  the ThreadPool suite plus the batch-evaluator and
-#                  determinism suites that drive it from many threads.
+#                  the ThreadPool suite (parallel_for and map) plus every
+#                  suite that fans work out over it from many threads.
 # Legs 1-3 run the full CTest suite, so optimization-dependent breakage
 # (UB, fragile float expectations) and memory errors surface here and not
 # in a profile run.  Leg 4 runs the filtered concurrency subset (TSan's
@@ -63,7 +65,8 @@ run_leg Debug "${DEBUG_BUILD_DIR:-build-debug}"
 run_leg Release "${BUILD_DIR:-build}"
 if [[ "${SKIP_SANITIZE:-0}" != "1" ]]; then
   run_leg Debug "${SANITIZE_BUILD_DIR:-build-asan}" \
-    -DSNNMAP_SANITIZE=address,undefined
+    -DSNNMAP_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 fi
 
 # Dedicated block rather than run_leg: benches and examples are off here
@@ -79,11 +82,15 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     -DSNNMAP_BUILD_BENCH=OFF \
     -DSNNMAP_BUILD_EXAMPLES=OFF
   cmake --build "$tsan_dir" -j "$JOBS"
-  # The concurrency surface: the pool itself, the evaluators that share it
-  # across worker threads, and the determinism suites that run serial vs
-  # parallel back to back.  --no-tests=error so a filter typo (or a suite
-  # rename) fails loudly instead of green-skipping the leg.
+  # The concurrency surface: the pool itself (parallel_for and map), the
+  # fitness evaluator and NoC batches that share it across worker threads,
+  # the determinism suites that run serial vs parallel back to back, and
+  # the DVFS and fault tests that map co-sim and NoC runs onto a pool.
+  # --no-tests=error so a filter typo (or a suite rename) fails loudly
+  # instead of green-skipping the leg.
+  tsan_tests='^util\.ThreadPool|^core\.Determinism|^core\.Batch'
+  tsan_tests+='|^cosim\.CoSimDvfs\.BatchDvfsSweep'
+  tsan_tests+='|^noc\.NocSimulatorFaults\.MaxCyclesHaltMidFlight'
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$JOBS" \
-    --no-tests=error \
-    -R '^util\.ThreadPool|^core\.Determinism|^core\.Batch(Noc)?Evaluator'
+    --no-tests=error -R "$tsan_tests"
 fi

@@ -32,8 +32,8 @@
 //
 // Everything is deterministic: the SNN's RNG stream is untouched by
 // transport, NoC arbitration is deterministic, and drops follow the
-// delivery-log order, so batch fan-out (core::BatchCoSimEvaluator) is
-// bit-identical at any thread count.
+// delivery-log order, so a scenario sweep fanned out with
+// util::ThreadPool::map is bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>

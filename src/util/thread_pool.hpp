@@ -6,7 +6,8 @@
 // so per-worker scratch state (e.g. a CostModel) is touched by exactly one
 // thread per job, and the index -> worker mapping is a pure function of
 // (n, size()) — never of timing.  Results written to slots indexed by item
-// are therefore bit-identical to a serial run.
+// are therefore bit-identical to a serial run; map() packages exactly that
+// for independent scenario runs (NoC, SNN or co-sim sweeps).
 #pragma once
 
 #include <condition_variable>
@@ -15,6 +16,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace snnmap::util {
@@ -52,6 +54,26 @@ class ThreadPool {
         n, [&fn](std::uint32_t worker, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) fn(worker, i);
         });
+  }
+
+  /// Slot-indexed fan-out: returns `results` with results[i] = fn(i) for
+  /// every i in [0, n).  Each call runs on the worker parallel_for assigns
+  /// it, so the slots are bit-identical at any thread count as long as
+  /// fn(i) depends only on i.  fn must be safe to invoke concurrently for
+  /// distinct indices, and its result type default-constructible; the
+  /// first exception it throws is rethrown here.
+  template <typename F>
+  auto map(std::size_t n, F&& fn)
+      -> std::vector<std::invoke_result_t<F&, std::size_t>> {
+    using R = std::invoke_result_t<F&, std::size_t>;
+    // vector<bool> packs slots into shared words: concurrent writes race.
+    static_assert(!std::is_same_v<R, bool>,
+                  "map a bool-returning fn to a byte-sized type instead");
+    std::vector<R> results(n);
+    parallel_for(n, [&results, &fn](std::uint32_t, std::size_t i) {
+      results[i] = fn(i);
+    });
+    return results;
   }
 
   /// 0 -> hardware_concurrency(); the result is clamped to

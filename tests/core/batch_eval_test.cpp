@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/batch_eval.hpp"
 #include "core/cost.hpp"
+#include "noc/simulator.hpp"
 #include "snn/graph.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnmap::core {
 namespace {
@@ -124,11 +127,16 @@ TEST(BatchEvaluator, ZeroThreadsResolvesToHardwareConcurrency) {
   EXPECT_GE(evaluator.thread_count(), 1u);
 }
 
-namespace {
+/// One independent NoC run of a fanned-out batch.
+struct NocRun {
+  noc::Topology topology;
+  noc::NocConfig config;
+  std::vector<noc::SpikePacketEvent> traffic;
+};
 
-/// A small deterministic all-to-all scenario batch over mixed topologies.
-std::vector<NocScenario> noc_scenarios() {
-  std::vector<NocScenario> scenarios;
+/// A small deterministic all-to-all batch over mixed topologies.
+std::vector<NocRun> noc_runs() {
+  std::vector<NocRun> runs;
   const auto traffic = [](std::uint64_t seed, std::uint32_t tiles) {
     util::Rng rng(seed);
     std::vector<noc::SpikePacketEvent> t;
@@ -145,25 +153,32 @@ std::vector<NocScenario> noc_scenarios() {
     }
     return t;
   };
-  scenarios.push_back({noc::Topology::mesh(3, 3), noc::NocConfig{},
-                       traffic(11, 9)});
-  scenarios.push_back({noc::Topology::tree(8, 4), noc::NocConfig{},
-                       traffic(22, 8)});
+  runs.push_back({noc::Topology::mesh(3, 3), noc::NocConfig{},
+                  traffic(11, 9)});
+  runs.push_back({noc::Topology::tree(8, 4), noc::NocConfig{},
+                  traffic(22, 8)});
   noc::NocConfig shallow;
   shallow.buffer_depth = 1;
   // A shallow ring under this load wedges on its cyclic channel dependency;
   // keep the guard small so the batch exercises the drained=false path
   // without simulating millions of stalled cycles.
   shallow.max_cycles = 20'000;
-  scenarios.push_back({noc::Topology::ring(6), shallow, traffic(33, 6)});
-  return scenarios;
+  runs.push_back({noc::Topology::ring(6), shallow, traffic(33, 6)});
+  return runs;
 }
 
-}  // namespace
+/// Simulates every run on `threads` workers; results[i] is runs[i]'s.
+std::vector<noc::NocRunResult> simulate(std::uint32_t threads,
+                                        std::vector<NocRun> runs) {
+  return util::ThreadPool(threads).map(runs.size(), [&runs](std::size_t i) {
+    return noc::NocSimulator(std::move(runs[i].topology), runs[i].config)
+        .run(std::move(runs[i].traffic));
+  });
+}
 
-TEST(BatchNocEvaluator, ParallelMatchesSerialBitForBit) {
-  auto serial_results = BatchNocEvaluator(1).run_all(noc_scenarios());
-  auto parallel_results = BatchNocEvaluator(4).run_all(noc_scenarios());
+TEST(BatchNoc, ParallelMatchesSerialBitForBit) {
+  auto serial_results = simulate(1, noc_runs());
+  auto parallel_results = simulate(4, noc_runs());
   ASSERT_EQ(serial_results.size(), parallel_results.size());
   for (std::size_t i = 0; i < serial_results.size(); ++i) {
     const auto& s = serial_results[i];
@@ -184,16 +199,14 @@ TEST(BatchNocEvaluator, ParallelMatchesSerialBitForBit) {
   }
 }
 
-TEST(BatchNocEvaluator, EmptyBatchAndZeroThreadsAreFine) {
-  BatchNocEvaluator evaluator(0);
-  EXPECT_GE(evaluator.thread_count(), 1u);
-  EXPECT_TRUE(evaluator.run_all({}).empty());
+TEST(BatchNoc, EmptyBatchAndZeroThreadsAreFine) {
+  EXPECT_TRUE(simulate(0, {}).empty());
 }
 
-TEST(BatchNocEvaluator, StreamingScenariosSkipTheLog) {
-  auto scenarios = noc_scenarios();
-  for (auto& s : scenarios) s.config.collect_delivered = false;
-  const auto results = BatchNocEvaluator(2).run_all(std::move(scenarios));
+TEST(BatchNoc, StreamingScenariosSkipTheLog) {
+  auto runs = noc_runs();
+  for (auto& r : runs) r.config.collect_delivered = false;
+  const auto results = simulate(2, std::move(runs));
   for (const auto& r : results) {
     EXPECT_TRUE(r.delivered.empty());
     EXPECT_GT(r.stats.copies_delivered, 0u);

@@ -1,13 +1,15 @@
 // Determinism regression for the parallel batch-evaluation layer: with a
 // fixed seed, every optimizer must produce bit-identical results whether
 // fitness evaluation (PSO/GA) or restart chains (SA) run serially or on a
-// worker pool, and batched SNN scenario simulation must match standalone
-// Simulator runs bit for bit regardless of thread count or submission
-// order.  Guards against evaluation-order nondeterminism sneaking into the
-// hot path.
+// worker pool, and SNN and co-sim scenario batches fanned out with
+// util::ThreadPool::map must match standalone runs bit for bit regardless
+// of thread count or submission order.  Guards against evaluation-order
+// nondeterminism sneaking into the hot path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/annealing.hpp"
@@ -16,11 +18,13 @@
 #include "core/placement.hpp"
 #include "core/pso.hpp"
 #include "cosim/cosim.hpp"
+#include "cosim/fidelity.hpp"
 #include "noc/topology.hpp"
 #include "snn/graph.hpp"
 #include "snn/network.hpp"
 #include "snn/simulator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnmap::core {
 namespace {
@@ -137,7 +141,7 @@ TEST(Determinism, AnnealingSingleRestartReproducesLegacyChain) {
   }
 }
 
-/// Deterministic little SNN used by the batch-evaluator tests; `variant`
+/// Deterministic little SNN used by the batch tests; `variant`
 /// perturbs the wiring seed so scenarios are distinguishable.
 snn::Network batch_snn_network(std::uint64_t variant) {
   snn::Network net;
@@ -153,8 +157,36 @@ snn::Network batch_snn_network(std::uint64_t variant) {
   return net;
 }
 
-std::vector<SnnScenario> batch_snn_scenarios() {
-  std::vector<SnnScenario> scenarios;
+/// One independent SNN run of a batch.  `build` returns a fresh Network per
+/// run (STDP mutates weights in place, so instances cannot be shared) and
+/// is called on the worker that simulates the run.
+struct SnnCase {
+  std::function<snn::Network()> build;
+  snn::SimulationConfig config;
+};
+
+/// The spike trains plus the final synapse weights (the STDP-visible state
+/// the trains alone don't expose).
+struct SnnRun {
+  snn::SimulationResult result;
+  std::vector<float> final_weights;  ///< synapse order of the built Network
+};
+
+std::vector<SnnRun> run_snn_batch(std::uint32_t threads,
+                                  const std::vector<SnnCase>& cases) {
+  return util::ThreadPool(threads).map(cases.size(), [&cases](std::size_t i) {
+    snn::Network net = cases[i].build();
+    SnnRun run;
+    run.result = snn::Simulator(net, cases[i].config).run();
+    for (const snn::Synapse& s : net.synapses()) {
+      run.final_weights.push_back(s.weight);
+    }
+    return run;
+  });
+}
+
+std::vector<SnnCase> batch_snn_scenarios() {
+  std::vector<SnnCase> scenarios;
   for (std::uint64_t v = 0; v < 6; ++v) {
     snn::SimulationConfig config;
     config.duration_ms = 300.0;
@@ -165,8 +197,8 @@ std::vector<SnnScenario> batch_snn_scenarios() {
   return scenarios;
 }
 
-void expect_same_results(const std::vector<SnnRunResult>& a,
-                         const std::vector<SnnRunResult>& b) {
+void expect_same_results(const std::vector<SnnRun>& a,
+                         const std::vector<SnnRun>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].result.total_spikes, b[i].result.total_spikes) << i;
@@ -177,15 +209,13 @@ void expect_same_results(const std::vector<SnnRunResult>& a,
 
 TEST(Determinism, BatchSnnSerialAndParallelMatchBitForBit) {
   const auto scenarios = batch_snn_scenarios();
-  BatchSnnEvaluator serial(1);
-  BatchSnnEvaluator parallel(4);
-  expect_same_results(serial.run_all(scenarios), parallel.run_all(scenarios));
+  expect_same_results(run_snn_batch(1, scenarios),
+                      run_snn_batch(4, scenarios));
 }
 
 TEST(Determinism, BatchSnnMatchesStandaloneSimulator) {
   const auto scenarios = batch_snn_scenarios();
-  BatchSnnEvaluator evaluator(3);
-  const auto batched = evaluator.run_all(scenarios);
+  const auto batched = run_snn_batch(3, scenarios);
   ASSERT_EQ(batched.size(), scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     snn::Network net = scenarios[i].build();
@@ -201,10 +231,9 @@ TEST(Determinism, BatchSnnMatchesStandaloneSimulator) {
 
 TEST(Determinism, BatchSnnIndependentOfSubmissionOrder) {
   const auto scenarios = batch_snn_scenarios();
-  std::vector<SnnScenario> reversed(scenarios.rbegin(), scenarios.rend());
-  BatchSnnEvaluator evaluator(4);
-  const auto forward = evaluator.run_all(scenarios);
-  auto backward = evaluator.run_all(reversed);
+  std::vector<SnnCase> reversed(scenarios.rbegin(), scenarios.rend());
+  const auto forward = run_snn_batch(4, scenarios);
+  auto backward = run_snn_batch(4, reversed);
   std::reverse(backward.begin(), backward.end());
   expect_same_results(forward, backward);
 }
@@ -213,9 +242,12 @@ TEST(Determinism, BatchSnnSeedSweepMatchesPerSeedRuns) {
   snn::SimulationConfig config;
   config.duration_ms = 250.0;
   const std::vector<std::uint64_t> seeds = {3, 1, 4, 1, 5, 9};
-  BatchSnnEvaluator evaluator(0);  // auto-resolve thread count
-  const auto sweep = evaluator.run_seeds([] { return batch_snn_network(2); },
-                                         config, seeds);
+  std::vector<SnnCase> cases;
+  for (const std::uint64_t seed : seeds) {
+    config.seed = seed;
+    cases.push_back({[] { return batch_snn_network(2); }, config});
+  }
+  const auto sweep = run_snn_batch(0, cases);  // auto-resolve thread count
   ASSERT_EQ(sweep.size(), seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     snn::Network net = batch_snn_network(2);
@@ -245,11 +277,46 @@ snn::Network batch_cosim_network(std::uint64_t variant) {
   return net;
 }
 
+/// One independent closed-loop co-simulation of a batch; `build` returns a
+/// fresh Network per run (the co-sim cut marks are per-instance state).
+struct CoSimCase {
+  std::function<snn::Network()> build;
+  Partition partition;
+  Placement placement;
+  noc::Topology topology;
+  cosim::CoSimConfig config;
+};
+
+/// A closed-loop run plus its divergence from the same-seed ideal run.
+struct CoSimRun {
+  cosim::CoSimResult result;
+  cosim::SpikeDivergence divergence;
+};
+
+/// Runs every case on `threads` workers (topologies move into the
+/// simulators); results[i] is cases[i]'s.
+std::vector<CoSimRun> run_cosim_batch(std::uint32_t threads,
+                                      std::vector<CoSimCase> cases) {
+  return util::ThreadPool(threads).map(cases.size(), [&cases](std::size_t i) {
+    CoSimCase& c = cases[i];
+    snn::Network net = c.build();
+    CoSimRun run;
+    run.result = cosim::CoSimulator(net, c.partition, c.placement,
+                                    std::move(c.topology), c.config)
+                     .run();
+    snn::Network reference = c.build();
+    run.divergence = cosim::spike_divergence(
+        snn::Simulator(reference, c.config.snn).run().spikes,
+        run.result.snn.spikes);
+    return run;
+  });
+}
+
 /// Co-sim scenario batch over the deterministic little SNNs: two crossbars
 /// (first half / second half of the ids), varying seeds and cycle budgets —
 /// including congested ones, where transport actually reorders work.
-std::vector<CoSimScenario> batch_cosim_scenarios() {
-  std::vector<CoSimScenario> scenarios;
+std::vector<CoSimCase> batch_cosim_scenarios() {
+  std::vector<CoSimCase> scenarios;
   for (std::uint64_t v = 0; v < 6; ++v) {
     snn::Network probe = batch_cosim_network(v);
     const std::uint32_t n = probe.neuron_count();
@@ -258,13 +325,11 @@ std::vector<CoSimScenario> batch_cosim_scenarios() {
       partition.assign(i, i < n / 2 ? 0 : 1);
     }
     noc::Topology topology = noc::Topology::ring(2);
-    CoSimScenario sc{
-        .build = [v] { return batch_cosim_network(v); },
-        .partition = std::move(partition),
-        .placement = identity_placement(2, topology),
-        .topology = std::move(topology),
-        .config = {},
-        .with_ideal_baseline = true};
+    CoSimCase sc{.build = [v] { return batch_cosim_network(v); },
+                 .partition = std::move(partition),
+                 .placement = identity_placement(2, topology),
+                 .topology = std::move(topology),
+                 .config = {}};
     sc.config.snn.duration_ms = 250.0;
     sc.config.snn.seed = 7 * v + 1;
     sc.config.cycles_per_timestep = v % 2 == 0 ? 512 : 3;  // ideal / congested
@@ -282,8 +347,8 @@ std::vector<CoSimScenario> batch_cosim_scenarios() {
   return scenarios;
 }
 
-void expect_same_cosim_results(const std::vector<CoSimOutcome>& a,
-                               const std::vector<CoSimOutcome>& b) {
+void expect_same_cosim_results(const std::vector<CoSimRun>& a,
+                               const std::vector<CoSimRun>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].result.snn.total_spikes, b[i].result.snn.total_spikes)
@@ -359,16 +424,13 @@ void expect_same_cosim_results(const std::vector<CoSimOutcome>& a,
 }
 
 TEST(Determinism, BatchCoSimSerialAndParallelMatchBitForBit) {
-  BatchCoSimEvaluator serial(1);
-  BatchCoSimEvaluator parallel(4);
-  expect_same_cosim_results(serial.run_all(batch_cosim_scenarios()),
-                            parallel.run_all(batch_cosim_scenarios()));
+  expect_same_cosim_results(run_cosim_batch(1, batch_cosim_scenarios()),
+                            run_cosim_batch(4, batch_cosim_scenarios()));
 }
 
 TEST(Determinism, BatchCoSimMatchesStandaloneCoSimulator) {
   auto scenarios = batch_cosim_scenarios();
-  BatchCoSimEvaluator evaluator(3);
-  const auto batched = evaluator.run_all(batch_cosim_scenarios());
+  const auto batched = run_cosim_batch(3, batch_cosim_scenarios());
   ASSERT_EQ(batched.size(), scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     snn::Network net = scenarios[i].build();
@@ -388,9 +450,8 @@ TEST(Determinism, BatchCoSimIndependentOfSubmissionOrder) {
   auto forward_scenarios = batch_cosim_scenarios();
   auto reversed_scenarios = batch_cosim_scenarios();
   std::reverse(reversed_scenarios.begin(), reversed_scenarios.end());
-  BatchCoSimEvaluator evaluator(4);
-  const auto forward = evaluator.run_all(std::move(forward_scenarios));
-  auto backward = evaluator.run_all(std::move(reversed_scenarios));
+  const auto forward = run_cosim_batch(4, std::move(forward_scenarios));
+  auto backward = run_cosim_batch(4, std::move(reversed_scenarios));
   std::reverse(backward.begin(), backward.end());
   expect_same_cosim_results(forward, backward);
 }
@@ -398,8 +459,8 @@ TEST(Determinism, BatchCoSimIndependentOfSubmissionOrder) {
 /// Faulted variants of the co-sim batch: seeded random faults, flit drops,
 /// the AER retry protocol, and one scheduled permanent tile fault — the
 /// full resilience path under parallel batch evaluation.
-std::vector<CoSimScenario> batch_faulted_scenarios() {
-  std::vector<CoSimScenario> scenarios = batch_cosim_scenarios();
+std::vector<CoSimCase> batch_faulted_scenarios() {
+  std::vector<CoSimCase> scenarios = batch_cosim_scenarios();
   for (std::size_t v = 0; v < scenarios.size(); ++v) {
     noc::FaultConfig& faults = scenarios[v].config.noc.faults;
     faults.seed = 40 + v;
@@ -426,17 +487,15 @@ std::vector<CoSimScenario> batch_faulted_scenarios() {
 }
 
 TEST(Determinism, FaultedBatchCoSimSerialAndParallelMatchBitForBit) {
-  BatchCoSimEvaluator serial(1);
-  BatchCoSimEvaluator parallel(4);
-  expect_same_cosim_results(serial.run_all(batch_faulted_scenarios()),
-                            parallel.run_all(batch_faulted_scenarios()));
+  expect_same_cosim_results(run_cosim_batch(1, batch_faulted_scenarios()),
+                            run_cosim_batch(4, batch_faulted_scenarios()));
 }
 
 /// The faulted batch with full observability on: every scenario traces into
 /// a small ring (forcing eviction) and runs the congestion monitor.
-std::vector<CoSimScenario> batch_observed_scenarios() {
-  std::vector<CoSimScenario> scenarios = batch_faulted_scenarios();
-  for (CoSimScenario& sc : scenarios) {
+std::vector<CoSimCase> batch_observed_scenarios() {
+  std::vector<CoSimCase> scenarios = batch_faulted_scenarios();
+  for (CoSimCase& sc : scenarios) {
     sc.config.noc.trace.enabled = true;
     sc.config.noc.trace.ring_capacity = 256;
     sc.config.noc.monitor.enabled = true;
@@ -447,10 +506,8 @@ std::vector<CoSimScenario> batch_observed_scenarios() {
 }
 
 TEST(Determinism, ObservedBatchCoSimSerialAndParallelMatchBitForBit) {
-  BatchCoSimEvaluator serial(1);
-  BatchCoSimEvaluator parallel(4);
-  const auto a = serial.run_all(batch_observed_scenarios());
-  const auto b = parallel.run_all(batch_observed_scenarios());
+  const auto a = run_cosim_batch(1, batch_observed_scenarios());
+  const auto b = run_cosim_batch(4, batch_observed_scenarios());
   expect_same_cosim_results(a, b);
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Tracing was on: something recorded, and the full streams match even
@@ -463,9 +520,8 @@ TEST(Determinism, ObservedBatchCoSimSerialAndParallelMatchBitForBit) {
 
 TEST(Determinism, ObservabilityDoesNotPerturbTheCoSim) {
   // Trace + monitor on must leave the simulation itself bit-identical.
-  BatchCoSimEvaluator evaluator(2);
-  const auto plain = evaluator.run_all(batch_faulted_scenarios());
-  const auto observed = evaluator.run_all(batch_observed_scenarios());
+  const auto plain = run_cosim_batch(2, batch_faulted_scenarios());
+  const auto observed = run_cosim_batch(2, batch_observed_scenarios());
   ASSERT_EQ(plain.size(), observed.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i].result.snn.spikes, observed[i].result.snn.spikes) << i;
@@ -484,19 +540,17 @@ TEST(Determinism, ObservabilityDoesNotPerturbTheCoSim) {
 TEST(Determinism, FaultedBatchCoSimIndependentOfSubmissionOrder) {
   auto reversed_scenarios = batch_faulted_scenarios();
   std::reverse(reversed_scenarios.begin(), reversed_scenarios.end());
-  BatchCoSimEvaluator evaluator(4);
-  const auto forward = evaluator.run_all(batch_faulted_scenarios());
-  auto backward = evaluator.run_all(std::move(reversed_scenarios));
+  const auto forward = run_cosim_batch(4, batch_faulted_scenarios());
+  auto backward = run_cosim_batch(4, std::move(reversed_scenarios));
   std::reverse(backward.begin(), backward.end());
   expect_same_cosim_results(forward, backward);
 }
 
 TEST(Determinism, FaultSweepMatchesStandaloneRuns) {
-  // run_fault_sweep overlays each FaultConfig onto the base scenario; every
-  // slot must be bit-identical to a standalone run with the same overlay,
-  // and the all-default entry is the fault-free baseline.
-  auto scenarios = batch_cosim_scenarios();
-  CoSimScenario& base = scenarios[0];
+  // Each FaultConfig overlays the base scenario; every slot must be
+  // bit-identical to a standalone run with the same overlay, and the
+  // all-default entry is the fault-free baseline.
+  const CoSimCase base = std::move(batch_cosim_scenarios()[0]);
 
   std::vector<noc::FaultConfig> sweep(3);
   sweep[1].seed = 11;
@@ -506,14 +560,17 @@ TEST(Determinism, FaultSweepMatchesStandaloneRuns) {
   sweep[2].transient_link_rate = 0.4;
   sweep[2].transient_duration_cycles = 128;
 
-  BatchCoSimEvaluator evaluator(4);
-  const auto results = evaluator.run_fault_sweep(base, sweep);
+  std::vector<CoSimCase> cases(sweep.size(), base);
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    cases[i].config.noc.faults = sweep[i];
+  }
+  const auto results = run_cosim_batch(4, std::move(cases));
   ASSERT_EQ(results.size(), sweep.size());
   EXPECT_FALSE(results[0].result.resilience.any());
   EXPECT_GT(results[1].result.resilience.noc_faults.flits_dropped, 0u);
 
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    CoSimScenario sc = base;
+    CoSimCase sc = base;
     sc.config.noc.faults = sweep[i];
     snn::Network net = sc.build();
     cosim::CoSimulator sim(net, sc.partition, sc.placement,

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/batch_eval.hpp"
 #include "core/partition.hpp"
 #include "core/placement.hpp"
 #include "cosim/cosim.hpp"

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "../snn/golden_scenarios.hpp"
-#include "core/batch_eval.hpp"
 #include "core/partition.hpp"
 #include "core/placement.hpp"
 #include "cosim/cosim.hpp"
@@ -27,6 +26,7 @@
 #include "snn/simulator.hpp"
 #include "test_mappings.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnmap::cosim {
 namespace {
@@ -238,46 +238,35 @@ TEST(CoSimDvfs, PolicyNamesRoundTrip) {
 }
 
 TEST(CoSimDvfs, BatchDvfsSweepMatchesStandaloneRuns) {
-  snn::Network probe = two_block_network();
-  core::Partition partition(probe.neuron_count(), 2);
-  for (snn::NeuronId i = 0; i < probe.neuron_count(); ++i) {
-    partition.assign(i, i < 24 ? 0 : 1);
-  }
-  noc::Topology topology = noc::Topology::ring(2);
-  core::CoSimScenario base{
-      .build = [] { return two_block_network(); },
-      .partition = std::move(partition),
-      .placement = core::identity_placement(2, topology),
-      .topology = std::move(topology),
-      .config = dvfs_config(DvfsPolicyKind::kFixed),
-      .with_ideal_baseline = false};
-  base.config.snn.duration_ms = 200.0;
-  base.config.snn.seed = 9;
-
   std::vector<DvfsPolicy> policies(3);
   policies[0].kind = DvfsPolicyKind::kFixed;
   policies[1].kind = DvfsPolicyKind::kUtilizationThreshold;
   policies[2].kind = DvfsPolicyKind::kDeadlineSlack;
+  const auto config_for = [&policies](std::size_t i) {
+    CoSimConfig config = dvfs_config(DvfsPolicyKind::kFixed);
+    config.dvfs = policies[i];
+    return config;
+  };
 
-  core::BatchCoSimEvaluator evaluator(4);
-  const auto outcomes = evaluator.run_dvfs_sweep(base, policies);
+  util::ThreadPool pool(4);
+  const auto outcomes = pool.map(policies.size(), [&](std::size_t i) {
+    return run_two_block(config_for(i));
+  });
   ASSERT_EQ(outcomes.size(), policies.size());
   for (std::size_t i = 0; i < policies.size(); ++i) {
-    auto config = base.config;
-    config.dvfs = policies[i];
-    const auto standalone = run_two_block(config);
-    EXPECT_EQ(outcomes[i].result.fidelity.fabric_energy_pj,
+    const auto standalone = run_two_block(config_for(i));
+    EXPECT_EQ(outcomes[i].fidelity.fabric_energy_pj,
               standalone.fidelity.fabric_energy_pj)
         << i;
-    EXPECT_EQ(outcomes[i].result.fidelity.per_step_cycles,
+    EXPECT_EQ(outcomes[i].fidelity.per_step_cycles,
               standalone.fidelity.per_step_cycles)
         << i;
-    EXPECT_EQ(outcomes[i].result.snn.spikes, standalone.snn.spikes) << i;
+    EXPECT_EQ(outcomes[i].snn.spikes, standalone.snn.spikes) << i;
   }
   // The sweep actually explored the frontier: a scaling policy must have
   // spent less than fixed.
-  EXPECT_LT(outcomes[1].result.fidelity.fabric_energy_pj,
-            outcomes[0].result.fidelity.fabric_energy_pj);
+  EXPECT_LT(outcomes[1].fidelity.fabric_energy_pj,
+            outcomes[0].fidelity.fabric_energy_pj);
 }
 
 TEST(CoSimWindowEnergy, EventEngineBitIdenticalThroughClosedLoop) {

@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_eval.hpp"
 #include "noc/simulator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnmap::noc {
 namespace {
@@ -506,20 +506,24 @@ TEST(NocSimulatorFaults, MaxCyclesHaltMidFlightConservesCopiesEverywhere) {
     const auto windowed = session.finish();
     check(windowed, "windowed");
 
-    core::BatchNocEvaluator evaluator(2);
-    std::vector<core::NocScenario> scenarios;
-    scenarios.push_back({Topology::mesh(4, 4), config, traffic});
-    const auto batch = evaluator.run_all(std::move(scenarios));
-    ASSERT_EQ(batch.size(), 1u);
-    check(batch[0], "batch");
+    // Two copies on a 2-thread pool: one runs on the caller, one on a
+    // worker.
+    util::ThreadPool pool(2);
+    const auto batch = pool.map(2, [&](std::size_t) {
+      return NocSimulator(Topology::mesh(4, 4), config).run(traffic);
+    });
+    ASSERT_EQ(batch.size(), 2u);
 
-    // All three shapes agree on the full loss breakdown, not just the sum.
+    // All shapes agree on the full loss breakdown, not just the sum.
     EXPECT_EQ(windowed.stats.fault.copies_stranded,
               whole.stats.fault.copies_stranded);
-    EXPECT_EQ(batch[0].stats.fault.copies_stranded,
-              whole.stats.fault.copies_stranded);
     EXPECT_EQ(windowed.stats.copies_delivered, whole.stats.copies_delivered);
-    EXPECT_EQ(batch[0].stats.copies_delivered, whole.stats.copies_delivered);
+    for (const auto& b : batch) {
+      check(b, "batch");
+      EXPECT_EQ(b.stats.fault.copies_stranded,
+                whole.stats.fault.copies_stranded);
+      EXPECT_EQ(b.stats.copies_delivered, whole.stats.copies_delivered);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace snnmap::util {
@@ -121,6 +122,65 @@ TEST(ThreadPool, BackToBackJobsAccumulateCorrectly) {
     });
     const auto sum = std::accumulate(out.begin(), out.end(), std::uint64_t{0});
     EXPECT_EQ(sum, static_cast<std::uint64_t>(round) * (kN * (kN - 1) / 2));
+  }
+}
+
+/// A per-index payload that is cheap but not trivially order-independent:
+/// a seeded stream of doubles summed in sequence.
+std::vector<double> map_payload(std::size_t i) {
+  Rng rng(1000 + i);
+  std::vector<double> out(1 + i % 7);
+  double acc = 0.0;
+  for (double& x : out) {
+    acc += rng.uniform() * 0.1;
+    x = acc;
+  }
+  return out;
+}
+
+TEST(ThreadPool, MapSlotsAreIdenticalAcrossThreadCounts) {
+  constexpr std::size_t kN = 97;
+  const auto serial = ThreadPool(1).map(kN, map_payload);
+  ASSERT_EQ(serial.size(), kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(serial[i], map_payload(i)) << "slot " << i;
+  }
+  for (const std::uint32_t threads : {3u, 8u}) {
+    EXPECT_EQ(ThreadPool(threads).map(kN, map_payload), serial)
+        << threads << " threads";
+  }
+}
+
+TEST(ThreadPool, MapOfZeroItemsIsEmpty) {
+  ThreadPool pool(4);
+  bool called = false;
+  const auto out = pool.map(0, [&](std::size_t i) {
+    called = true;
+    return i;
+  });
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, MapWithFewerItemsThanWorkers) {
+  ThreadPool pool(8);
+  const auto out = pool.map(3, [](std::size_t i) { return 10 * i + 1; });
+  EXPECT_EQ(out, (std::vector<std::size_t>{1, 11, 21}));
+}
+
+TEST(ThreadPool, MapRethrowsExceptions) {
+  for (const std::uint32_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_THROW(pool.map(50,
+                          [](std::size_t i) -> int {
+                            if (i == 31) throw std::runtime_error("boom");
+                            return static_cast<int>(i);
+                          }),
+                 std::runtime_error)
+        << threads << " threads";
+    // The pool survives and maps the next job normally.
+    EXPECT_EQ(pool.map(4, [](std::size_t i) { return i; }),
+              (std::vector<std::size_t>{0, 1, 2, 3}));
   }
 }
 

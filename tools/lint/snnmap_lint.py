@@ -37,7 +37,8 @@ a bare allow() does not waive.  For hoisted-gate, a waiver on an enclosing
 block's header line (e.g. a function whose every call site is gated)
 covers the whole block.
 
-Exit status: 0 clean, 1 findings, 2 usage/configuration error.
+Exit status: 0 clean, 1 findings, 2 usage/configuration error (including a
+tree without src/ when a rule that scans src/ is selected).
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ ALL_RULES = (
     "ci-bench-sync",
     "config-key-coverage",
 )
+
+# Rules that read only repo-level files (scripts/, bench/) and never scan
+# src/; a tree without src/ is simply empty for them.
+REPO_LEVEL_RULES = frozenset({"ci-bench-sync"})
 
 WAIVER_RE = re.compile(
     r"(?://|#)\s*snnmap-lint:\s*allow\(([a-z-]+)\)\s*(?:--|—)\s*(\S.*)"
@@ -529,12 +534,13 @@ def main(argv=None):
 
     repo = pathlib.Path(args.repo) if args.repo else \
         pathlib.Path(__file__).resolve().parents[2]
-    if not (repo / "src").is_dir():
+    rules = args.rule or ALL_RULES
+    if not (repo / "src").is_dir() and not REPO_LEVEL_RULES.issuperset(rules):
         print(f"snnmap-lint: no src/ under {repo}", file=sys.stderr)
         return 2
 
     findings = []
-    for rule in (args.rule or ALL_RULES):
+    for rule in rules:
         findings.extend(RULE_FNS[rule](repo))
     for finding in findings:
         print(finding)

@@ -68,8 +68,37 @@ def run_case(case, rules):
     return proc.returncode, findings
 
 
+def untracked_fixture_files():
+    """Files and directories under tests/cases/ that git does not track
+    (a directory counts when no tracked file lies beneath it), or None when
+    the tree is not a git checkout.  A fixture must be exactly what a fresh
+    clone sees: git drops empty directories and ignored files, so a case
+    relying on either passes locally and fails on a clean checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(HERE), *args],
+                              capture_output=True, text=True)
+    try:
+        if git("rev-parse", "--is-inside-work-tree").returncode != 0:
+            return None
+        listed = git("ls-files", "--full-name", "--", str(CASES))
+    except OSError:  # no git binary
+        return None
+    top = pathlib.Path(git("rev-parse", "--show-toplevel").stdout.strip())
+    tracked = {(top / line).resolve() for line in listed.stdout.splitlines()}
+    tracked |= {d for path in tracked for d in path.parents}
+    on_disk = (p.resolve() for p in CASES.rglob("*"))
+    return sorted(str(p.relative_to(CASES.resolve())) for p in on_disk
+                  if p not in tracked)
+
+
 def main():
     failures = []
+    untracked = untracked_fixture_files()
+    if untracked is None:
+        print("notice: not a git checkout; fixture tracking check skipped")
+    elif untracked:
+        failures.append("fixture paths not tracked by git (a fresh clone "
+                        "would not see them):\n  " + "\n  ".join(untracked))
     for case, (rules, want_exit, anchors) in sorted(EXPECTATIONS.items()):
         code, findings = run_case(case, rules)
         if code != want_exit:
