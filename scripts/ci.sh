@@ -84,11 +84,12 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake --build "$tsan_dir" -j "$JOBS"
   # The concurrency surface: the pool itself (parallel_for and map), the
   # fitness evaluator and NoC batches that share it across worker threads,
+  # the PSO suite (particles are stepped and repaired on worker threads),
   # the determinism suites that run serial vs parallel back to back, and
   # the DVFS and fault tests that map co-sim and NoC runs onto a pool.
   # --no-tests=error so a filter typo (or a suite rename) fails loudly
   # instead of green-skipping the leg.
-  tsan_tests='^util\.ThreadPool|^core\.Determinism|^core\.Batch'
+  tsan_tests='^util\.ThreadPool|^core\.Determinism|^core\.Batch|^core\.Pso'
   tsan_tests+='|^cosim\.CoSimDvfs\.BatchDvfsSweep'
   tsan_tests+='|^noc\.NocSimulatorFaults\.MaxCyclesHaltMidFlight'
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$JOBS" \

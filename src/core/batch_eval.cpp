@@ -16,29 +16,13 @@ BatchEvaluator::BatchEvaluator(const snn::SnnGraph& graph,
   }
 }
 
-void BatchEvaluator::evaluate(std::size_t count, const AssignmentAt& at,
-                              Objective objective,
-                              std::vector<std::uint64_t>& costs) {
-  costs.resize(count);
-  pool_.parallel_blocks(
-      count,
-      [&](std::uint32_t worker, std::size_t begin, std::size_t end) {
-        const CostModel& model = *models_[worker];
-        for (std::size_t i = begin; i < end; ++i) {
-          costs[i] = model.objective_cost(at(i), objective);
-        }
-      });
-}
-
 void BatchEvaluator::evaluate(
     const std::vector<std::vector<CrossbarId>>& population,
     Objective objective, std::vector<std::uint64_t>& costs) {
-  evaluate(
-      population.size(),
-      [&population](std::size_t i) -> const std::vector<CrossbarId>& {
-        return population[i];
-      },
-      objective, costs);
+  costs.resize(population.size());
+  for_each(population.size(), [&](std::uint32_t worker, std::size_t i) {
+    costs[i] = model(worker).objective_cost(population[i], objective);
+  });
 }
 
 }  // namespace snnmap::core

@@ -4,18 +4,19 @@
 // entire swarm or population against the same immutable spike graph.  The
 // evaluations are independent, so they fan out over a ThreadPool.  CostModel
 // carries mutable stamp-marking scratch per instance, so the evaluator owns
-// one CostModel per worker — each touched by exactly one thread per batch —
-// and all randomness stays on the caller's thread.  Costs land in a slot
-// indexed by candidate, making parallel results bit-identical to the serial
-// path under a fixed seed.
+// one CostModel per worker — each touched by exactly one thread per batch.
+// for_each() hands every candidate index its worker's model; a task whose
+// work is stochastic (a PSO particle step) seeds its own util::Rng from its
+// index, never from shared state, and writes only its own slot, so parallel
+// results are bit-identical to the serial path under a fixed seed.
 //
 // Independent whole-simulation runs (NoC, SNN or co-sim scenario sweeps)
 // need no per-worker scratch, so they use util::ThreadPool::map directly.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/cost.hpp"
@@ -39,23 +40,23 @@ class BatchEvaluator {
   std::uint32_t thread_count() const noexcept { return pool_.size(); }
 
   /// Worker-local cost model.  Worker 0's model doubles as the caller's
-  /// serial model (repair operators, one-off evaluations): batches never run
-  /// while the caller is between evaluate() calls, so no thread contends.
+  /// serial model (one-off evaluations): batches never run while the caller
+  /// is between fan-outs, so no thread contends.
   const CostModel& model(std::uint32_t worker = 0) const {
     return *models_[worker];
   }
 
-  using AssignmentAt =
-      std::function<const std::vector<CrossbarId>&(std::size_t)>;
+  /// Per-candidate fan-out: fn(worker, i) for every i in [0, count), on the
+  /// worker the pool assigns i to (a pure function of count and
+  /// thread_count()).  fn uses model(worker) and any per-worker scratch the
+  /// caller indexes by `worker`; it must write only state owned by index i.
+  template <typename F>
+  void for_each(std::size_t count, F&& fn) {
+    pool_.parallel_for(count, std::forward<F>(fn));
+  }
 
-  /// Evaluates `count` candidates into `costs` (resized to `count`):
-  /// costs[i] = objective_cost(at(i), objective).  `at` is called from
-  /// worker threads and must be safe to invoke concurrently for distinct
-  /// indices (a pure indexed view into caller-owned storage).
-  void evaluate(std::size_t count, const AssignmentAt& at,
-                Objective objective, std::vector<std::uint64_t>& costs);
-
-  /// Convenience over a contiguous population of assignment vectors.
+  /// Evaluates a population into `costs` (resized to its size):
+  /// costs[i] = objective_cost(population[i], objective).
   void evaluate(const std::vector<std::vector<CrossbarId>>& population,
                 Objective objective, std::vector<std::uint64_t>& costs);
 

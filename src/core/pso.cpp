@@ -7,12 +7,23 @@
 #include "core/incremental.hpp"
 #include "core/neutrams.hpp"
 #include "core/pacman.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace snnmap::core {
 namespace {
 
 double sigmoid(double v) noexcept { return 1.0 / (1.0 + std::exp(-v)); }
+
+/// Seed of particle `pi`'s random stream at swarm step `iter` (0 is the
+/// initialization): a pure function of (seed, iter, pi), distinct for every
+/// (iter, pi) pair, so no particle's draws depend on another's or on the
+/// worker that runs it.
+std::uint64_t particle_stream(std::uint64_t seed, std::uint32_t iter,
+                              std::size_t pi) noexcept {
+  return util::mix64(util::mix64(seed) ^
+                     ((std::uint64_t{iter} << 32) | pi));
+}
 
 }  // namespace
 
@@ -21,7 +32,9 @@ PsoPartitioner::PsoPartitioner(const snn::SnnGraph& graph,
     : graph_(graph),
       arch_(arch),
       config_(config),
-      evaluator_(graph, config.threads, config.swarm_size) {
+      evaluator_(graph, config.threads, config.swarm_size),
+      scratch_(evaluator_.thread_count()),
+      costs_(config.swarm_size) {
   if (!arch.fits(graph.neuron_count())) {
     throw std::invalid_argument("PsoPartitioner: network does not fit (" +
                                 std::to_string(graph.neuron_count()) + " > " +
@@ -30,22 +43,46 @@ PsoPartitioner::PsoPartitioner(const snn::SnnGraph& graph,
   if (config_.swarm_size == 0) {
     throw std::invalid_argument("PsoPartitioner: swarm size must be >= 1");
   }
+  if (config_.iterations == 0) {
+    throw std::invalid_argument("PsoPartitioner: iterations must be >= 1");
+  }
+  if (!(config_.v_max > 0.0)) {  // also rejects NaN
+    throw std::invalid_argument("PsoPartitioner: v_max must be > 0");
+  }
+  if (!std::isfinite(config_.inertia) || !std::isfinite(config_.phi1) ||
+      !std::isfinite(config_.phi2)) {
+    throw std::invalid_argument(
+        "PsoPartitioner: inertia, phi1 and phi2 must be finite");
+  }
 }
 
-void PsoPartitioner::evaluate_swarm(const std::vector<Particle>& swarm) {
-  // Fan the independent fitness evaluations out across the pool; costs_[i]
-  // is particle i's fitness, so the result is order-independent and matches
-  // the serial path exactly.
-  evaluator_.evaluate(
-      swarm.size(),
-      [&swarm](std::size_t i) -> const std::vector<CrossbarId>& {
-        return swarm[i].position;
-      },
-      config_.objective, costs_);
+void PsoPartitioner::step_swarm(
+    std::vector<Particle>& swarm, std::uint32_t iter,
+    const std::vector<CrossbarId>& gbest,
+    const std::vector<std::vector<CrossbarId>>& seeds) {
+  // Task pi touches only swarm[pi], costs_[pi] and its worker's model and
+  // scratch; gbest and seeds are read-only while the pool runs.
+  evaluator_.for_each(swarm.size(), [&](std::uint32_t worker, std::size_t pi) {
+    Particle& p = swarm[pi];
+    const CostModel& model = evaluator_.model(worker);
+    util::Rng rng(particle_stream(config_.seed, iter, pi));
+    if (iter == 0) {
+      p.velocity.resize(static_cast<std::size_t>(graph_.neuron_count()) *
+                        arch_.crossbar_count);
+      for (auto& v : p.velocity) {
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      p.position = pi < seeds.size() ? seeds[pi] : random_assignment(rng);
+    } else {
+      update_particle(p, gbest, rng, model, scratch_[worker]);
+    }
+    costs_[pi] = model.objective_cost(p.position, config_.objective);
+  });
   evaluations_ += swarm.size();
 }
 
-std::vector<CrossbarId> PsoPartitioner::random_assignment(util::Rng& rng) {
+std::vector<CrossbarId> PsoPartitioner::random_assignment(
+    util::Rng& rng) const {
   // Random feasible assignment: shuffle neurons, deal them into crossbars
   // round-robin with capacity tracking.
   const std::uint32_t n = graph_.neuron_count();
@@ -71,16 +108,21 @@ std::vector<CrossbarId> PsoPartitioner::random_assignment(util::Rng& rng) {
 }
 
 void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
-                                     util::Rng& rng) {
+                                     util::Rng& rng, const CostModel& model,
+                                     RepairScratch& scratch) const {
   const std::uint32_t c = arch_.crossbar_count;
   const std::uint32_t cap = arch_.neurons_per_crossbar;
-  std::vector<std::uint32_t> occ(c, 0);
+  auto& occ = scratch.occ;
+  occ.assign(c, 0);
   for (const CrossbarId k : assignment) {
     if (k != kUnassigned) ++occ[k];
   }
   // Evict random residents of overloaded crossbars into a pool...
-  std::vector<std::uint32_t> pool;
-  std::vector<std::vector<std::uint32_t>> members(c);
+  auto& pool = scratch.pool;
+  auto& members = scratch.members;
+  pool.clear();
+  members.resize(c);
+  for (auto& m : members) m.clear();
   for (std::uint32_t i = 0; i < assignment.size(); ++i) {
     if (assignment[i] != kUnassigned) members[assignment[i]].push_back(i);
   }
@@ -104,8 +146,7 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
     std::uint64_t best_cut = ~0ULL;
     for (CrossbarId k = 0; k < c; ++k) {
       if (occ[k] >= cap) continue;
-      const std::uint64_t cut =
-          evaluator_.model().incident_cut(assignment, neuron, k);
+      const std::uint64_t cut = model.incident_cut(assignment, neuron, k);
       if (cut < best_cut) {
         best_cut = cut;
         best = k;
@@ -119,13 +160,43 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
   }
 }
 
-void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng) {
+void PsoPartitioner::update_particle(Particle& p,
+                                     const std::vector<CrossbarId>& gbest,
+                                     util::Rng& rng, const CostModel& model,
+                                     RepairScratch& scratch) const {
+  // Velocity + position update (Eq. 1 with inertia and per-component random
+  // scaling), then binarize + repair (Eqs. 2-5).
+  const std::uint32_t n = graph_.neuron_count();
+  const std::uint32_t c = arch_.crossbar_count;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const CrossbarId xi = p.position[i];
+    const CrossbarId pbi = p.best_position.empty() ? xi : p.best_position[i];
+    const CrossbarId gbi = gbest[i];
+    for (std::uint32_t k = 0; k < c; ++k) {
+      const std::size_t d = static_cast<std::size_t>(i) * c + k;
+      const double x = xi == k ? 1.0 : 0.0;
+      const double pb = pbi == k ? 1.0 : 0.0;
+      const double gb = gbi == k ? 1.0 : 0.0;
+      double v = config_.inertia * static_cast<double>(p.velocity[d]) +
+                 config_.phi1 * rng.uniform() * (pb - x) +
+                 config_.phi2 * rng.uniform() * (gb - x);
+      v = std::clamp(v, -config_.v_max, config_.v_max);
+      p.velocity[d] = static_cast<float>(v);
+    }
+  }
+  binarize_and_repair(p, rng, model, scratch);
+}
+
+void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng,
+                                         const CostModel& model,
+                                         RepairScratch& scratch) const {
   const std::uint32_t n = graph_.neuron_count();
   const std::uint32_t c = arch_.crossbar_count;
   // Per-neuron stochastic binarization (Eqs. 2-3) followed by one-hot repair
   // (Eq. 4): among the sampled set bits keep one uniformly; if none were
   // sampled, roulette-select a crossbar proportionally to sigmoid(v).
-  std::vector<double> probs(c);
+  auto& probs = scratch.probs;
+  probs.resize(c);
   for (std::uint32_t i = 0; i < n; ++i) {
     double prob_sum = 0.0;
     for (std::uint32_t k = 0; k < c; ++k) {
@@ -152,29 +223,20 @@ void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng) {
     }
     p.position[i] = chosen;
   }
-  capacity_repair(p.position, rng);
+  capacity_repair(p.position, rng, model, scratch);
 }
 
 PsoResult PsoPartitioner::optimize() {
-  util::Rng rng(config_.seed);
   const std::uint32_t n = graph_.neuron_count();
   const std::uint32_t c = arch_.crossbar_count;
-  const std::size_t dims = static_cast<std::size_t>(n) * c;
 
-  std::vector<Particle> swarm(config_.swarm_size);
-  for (auto& p : swarm) {
-    p.velocity.resize(dims);
-    for (auto& v : p.velocity) {
-      v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    }
-    p.position = random_assignment(rng);
-  }
+  // Memetic seeding: the first particles start from the baselines, so the
+  // swarm optimum can never be worse than either of them.
+  std::vector<std::vector<CrossbarId>> seeds;
   if (config_.seed_with_baselines) {
-    // Memetic seeding: the first particles start from the baselines, so the
-    // swarm optimum can never be worse than either of them.
-    swarm[0].position = pacman_partition(graph_, arch_).assignment();
-    if (swarm.size() > 1) {
-      swarm[1].position = neutrams_partition(graph_, arch_).assignment();
+    seeds.push_back(pacman_partition(graph_, arch_).assignment());
+    if (config_.swarm_size > 1) {
+      seeds.push_back(neutrams_partition(graph_, arch_).assignment());
     }
   }
 
@@ -183,9 +245,10 @@ PsoResult PsoPartitioner::optimize() {
   PsoResult result;
   std::uint32_t stale = 0;
 
+  std::vector<Particle> swarm(config_.swarm_size);
+  step_swarm(swarm, 0, gbest, seeds);
   for (std::uint32_t iter = 0; iter < config_.iterations; ++iter) {
     bool improved = false;
-    evaluate_swarm(swarm);
     for (std::size_t pi = 0; pi < swarm.size(); ++pi) {
       Particle& p = swarm[pi];
       const std::uint64_t f = costs_[pi];
@@ -227,28 +290,7 @@ PsoResult PsoPartitioner::optimize() {
     if (config_.patience != 0 && stale >= config_.patience) break;
     if (iter + 1 == config_.iterations) break;  // skip final wasted update
 
-    // Velocity + position update (Eq. 1 with inertia and per-component
-    // random scaling), then binarize + repair (Eqs. 2-5).
-    for (auto& p : swarm) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const CrossbarId xi = p.position[i];
-        const CrossbarId pbi =
-            p.best_position.empty() ? xi : p.best_position[i];
-        const CrossbarId gbi = gbest[i];
-        for (std::uint32_t k = 0; k < c; ++k) {
-          const std::size_t d = static_cast<std::size_t>(i) * c + k;
-          const double x = xi == k ? 1.0 : 0.0;
-          const double pb = pbi == k ? 1.0 : 0.0;
-          const double gb = gbi == k ? 1.0 : 0.0;
-          double v = config_.inertia * static_cast<double>(p.velocity[d]) +
-                     config_.phi1 * rng.uniform() * (pb - x) +
-                     config_.phi2 * rng.uniform() * (gb - x);
-          v = std::clamp(v, -config_.v_max, config_.v_max);
-          p.velocity[d] = static_cast<float>(v);
-        }
-      }
-      binarize_and_repair(p, rng);
-    }
+    step_swarm(swarm, iter + 1, gbest, seeds);
   }
 
   result.best = Partition(n, c);

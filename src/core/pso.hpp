@@ -13,9 +13,13 @@
 // The swarm can be seeded with the PACMAN/NEUTRAMS baseline solutions
 // (memetic seeding, on by default): the paper reports PSO always at or
 // below both baselines, which seeding guarantees by construction.
-// Per-iteration fitness evaluation of the whole swarm fans out over a
-// BatchEvaluator worker pool (PsoConfig::threads); all randomness stays on
-// the caller's thread, so results are identical at any thread count.
+// Each swarm step fans out over a BatchEvaluator worker pool
+// (PsoConfig::threads), one task per particle: the velocity update,
+// binarization, repair and fitness of particle pi at step t draw only from
+// pi's own random stream, seeded from (seed, t, pi) — step 0 is the
+// initialization.  The pbest/gbest scan and the memetic refinement run on
+// the caller's thread in particle order, so results are identical at any
+// thread count.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +55,10 @@ struct PsoConfig {
   /// IncrementalAerCost::swap_refine).  0 disables.
   std::uint32_t refine_swap_factor = 8;
   std::uint64_t seed = 42;
-  /// Worker threads for batch fitness evaluation: 0 = one per hardware
-  /// thread, 1 = serial.  Results are identical for every value (all
-  /// randomness stays on the caller's thread; see BatchEvaluator).
+  /// Worker threads for the per-particle swarm steps: 0 = one per hardware
+  /// thread, 1 = serial.  Results are identical for every value (each
+  /// particle step draws from its own stream seeded from (seed, step,
+  /// particle); see BatchEvaluator).
   std::uint32_t threads = 0;
   bool track_history = false;       ///< record Gbest cost per iteration
   /// Stop early after this many iterations without Gbest improvement
@@ -85,17 +90,36 @@ class PsoPartitioner {
     std::uint64_t best_cost = ~0ULL;
   };
 
-  /// Evaluates every particle's position into costs_ (parallel fan-out).
-  void evaluate_swarm(const std::vector<Particle>& swarm);
-  void binarize_and_repair(Particle& p, util::Rng& rng);
-  void capacity_repair(std::vector<CrossbarId>& assignment, util::Rng& rng);
-  std::vector<CrossbarId> random_assignment(util::Rng& rng);
+  /// Repair buffers of one worker, reused across the particle steps it runs.
+  struct RepairScratch {
+    std::vector<double> probs;                        // C sigmoid probabilities
+    std::vector<std::uint32_t> occ;                   // C crossbar occupancies
+    std::vector<std::uint32_t> pool;                  // evicted neurons
+    std::vector<std::vector<std::uint32_t>> members;  // C resident lists
+  };
+
+  /// Runs step `iter` of every particle on the pool and writes its fitness
+  /// into costs_: initialization (from `seeds` where given, else random) at
+  /// iter 0, the Eq. 1-5 update towards `gbest` after.
+  void step_swarm(std::vector<Particle>& swarm, std::uint32_t iter,
+                  const std::vector<CrossbarId>& gbest,
+                  const std::vector<std::vector<CrossbarId>>& seeds);
+  void update_particle(Particle& p, const std::vector<CrossbarId>& gbest,
+                       util::Rng& rng, const CostModel& model,
+                       RepairScratch& scratch) const;
+  void binarize_and_repair(Particle& p, util::Rng& rng,
+                           const CostModel& model,
+                           RepairScratch& scratch) const;
+  void capacity_repair(std::vector<CrossbarId>& assignment, util::Rng& rng,
+                       const CostModel& model, RepairScratch& scratch) const;
+  std::vector<CrossbarId> random_assignment(util::Rng& rng) const;
 
   const snn::SnnGraph& graph_;
   hw::Architecture arch_;
   PsoConfig config_;
   BatchEvaluator evaluator_;
-  std::vector<std::uint64_t> costs_;  ///< per-particle fitness scratch
+  std::vector<RepairScratch> scratch_;  ///< one per evaluator worker
+  std::vector<std::uint64_t> costs_;    ///< per-particle fitness slots
   std::uint64_t evaluations_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -87,20 +88,25 @@ TEST(BatchEvaluator, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(a, c);
 }
 
-TEST(BatchEvaluator, IndexedViewMatchesContainerOverload) {
+TEST(BatchEvaluator, ForEachMatchesEvaluate) {
   const auto graph = random_graph(25, 80, 31);
   BatchEvaluator evaluator(graph, 3);
   const auto batch = random_assignments(25, 4, 17, 32);
 
-  std::vector<std::uint64_t> via_container, via_view;
-  evaluator.evaluate(batch, Objective::kAerPackets, via_container);
-  evaluator.evaluate(
-      batch.size(),
-      [&batch](std::size_t i) -> const std::vector<CrossbarId>& {
-        return batch[i];
-      },
-      Objective::kAerPackets, via_view);
-  EXPECT_EQ(via_container, via_view);
+  std::vector<std::uint64_t> via_evaluate;
+  evaluator.evaluate(batch, Objective::kAerPackets, via_evaluate);
+  std::vector<std::uint64_t> via_for_each(batch.size());
+  std::vector<std::uint32_t> worker_of(batch.size());
+  evaluator.for_each(batch.size(), [&](std::uint32_t worker, std::size_t i) {
+    worker_of[i] = worker;
+    via_for_each[i] = evaluator.model(worker).objective_cost(
+        batch[i], Objective::kAerPackets);
+  });
+  EXPECT_EQ(via_evaluate, via_for_each);
+  // 17 candidates over 3 workers: contiguous blocks, every worker used.
+  EXPECT_TRUE(std::is_sorted(worker_of.begin(), worker_of.end()));
+  EXPECT_EQ(worker_of.front(), 0u);
+  EXPECT_EQ(worker_of.back(), 2u);
 }
 
 TEST(BatchEvaluator, EmptyBatchYieldsEmptyCosts) {

@@ -79,6 +79,64 @@ TEST(Determinism, PsoSerialAndParallelMatchBitForBit) {
   EXPECT_EQ(serial.history, parallel.history);
 }
 
+/// Runs `config` at threads 1, 2, 3 and 8 and expects the whole PsoResult
+/// to match the serial run; returns the serial result.  Baseline seeding
+/// and the memetic refinement are switched off: on this small workload
+/// either one reaches the same optimum from any swarm, which would hide a
+/// particle stream that depends on the worker rather than the particle.
+PsoResult expect_pso_thread_invariant(PsoConfig config) {
+  config.seed_with_baselines = false;
+  config.refine_sweeps = 0;
+  config.refine_swap_factor = 0;
+  config.track_history = true;
+  config.threads = 1;
+  const auto graph = workload();
+  const auto serial = PsoPartitioner(graph, arch_6x10(), config).optimize();
+  for (const std::uint32_t threads : {2u, 3u, 8u}) {
+    config.threads = threads;
+    const auto parallel =
+        PsoPartitioner(graph, arch_6x10(), config).optimize();
+    EXPECT_EQ(serial.best, parallel.best) << threads << " threads";
+    EXPECT_EQ(serial.best_cost, parallel.best_cost) << threads << " threads";
+    EXPECT_EQ(serial.history, parallel.history) << threads << " threads";
+    EXPECT_EQ(serial.iterations_run, parallel.iterations_run)
+        << threads << " threads";
+    EXPECT_EQ(serial.fitness_evaluations, parallel.fitness_evaluations)
+        << threads << " threads";
+  }
+  return serial;
+}
+
+TEST(Determinism, PsoUnevenSwarmMatchesAtEveryThreadCount) {
+  // 7 particles: uneven blocks at 2 and 3 threads, and more threads than
+  // particles at 8.
+  PsoConfig config;
+  config.swarm_size = 7;
+  config.iterations = 9;
+  config.seed = 13;
+  const auto serial = expect_pso_thread_invariant(config);
+  EXPECT_EQ(serial.fitness_evaluations, 7u * 9u);
+}
+
+TEST(Determinism, PsoPatienceStopMatchesAtEveryThreadCount) {
+  PsoConfig config;
+  config.swarm_size = 10;
+  config.iterations = 60;
+  config.patience = 3;
+  config.seed = 17;
+  const auto serial = expect_pso_thread_invariant(config);
+  EXPECT_LT(serial.iterations_run, config.iterations);  // stopped early
+}
+
+TEST(Determinism, PsoCutSpikesMatchesAtEveryThreadCount) {
+  PsoConfig config;
+  config.swarm_size = 9;
+  config.iterations = 8;
+  config.seed = 19;
+  config.objective = Objective::kCutSpikes;
+  expect_pso_thread_invariant(config);
+}
+
 TEST(Determinism, GeneticSerialAndParallelMatchBitForBit) {
   const auto graph = workload();
   GeneticConfig config;
