@@ -19,11 +19,13 @@ int main() {
     const golden::Digest d = golden::digest_of(sim.run(scenario.traffic));
     std::printf(
         "{\"%s\", 0x%016llXULL, 0x%016llXULL, 0x%016llXULL,\n"
+        " 0x%016llXULL,\n"
         " %lluULL, %lluULL, %lluULL},\n",
         scenario.name.c_str(),
         static_cast<unsigned long long>(d.delivered_hash),
         static_cast<unsigned long long>(d.stats_hash),
         static_cast<unsigned long long>(d.snn_hash),
+        static_cast<unsigned long long>(d.fault_hash),
         static_cast<unsigned long long>(d.copies_delivered),
         static_cast<unsigned long long>(d.duration_cycles),
         static_cast<unsigned long long>(d.link_hops));

@@ -8,7 +8,8 @@
 // rewrites.  Every scenario is fully deterministic (util::Rng-seeded
 // traffic); covered axes: mesh/tree/ring topologies, all four mesh routing
 // algorithms, both selection strategies, multicast on/off, deep and shallow
-// buffers, and a non-drained (max_cycles exceeded) run.
+// buffers, a non-drained (max_cycles exceeded) run, and faulted fabrics
+// whose reroute/drop accounting is pinned by the fault hash.
 #pragma once
 
 #include <algorithm>
@@ -36,6 +37,7 @@ struct Digest {
   std::uint64_t delivered_hash = 0;  ///< full delivery log, delivery order
   std::uint64_t stats_hash = 0;      ///< every NocStats field incl. link map
   std::uint64_t snn_hash = 0;        ///< disorder / ISI metrics
+  std::uint64_t fault_hash = 0;      ///< every FaultStats field
   std::uint64_t copies_delivered = 0;
   std::uint64_t duration_cycles = 0;
   std::uint64_t link_hops = 0;
@@ -91,6 +93,22 @@ inline Digest digest_of(const NocRunResult& result) {
   snn.mix(sm.delivered_spikes);
   snn.mix(sm.isi_pairs);
   d.snn_hash = snn.value();
+
+  const FaultStats& fs = st.fault;
+  detail::Fnv1a fault;
+  fault.mix(fs.link_faults);
+  fault.mix(fs.router_faults);
+  fault.mix(fs.tile_faults);
+  fault.mix(fs.links_restored);
+  fault.mix(fs.reroutes);
+  fault.mix(fs.flits_dropped);
+  fault.mix(fs.copies_dropped);
+  fault.mix(fs.copies_killed);
+  fault.mix(fs.copies_unroutable);
+  fault.mix(fs.copies_blocked_at_source);
+  fault.mix(fs.packets_blocked);
+  fault.mix(fs.copies_stranded);
+  d.fault_hash = fault.value();
 
   d.copies_delivered = st.copies_delivered;
   d.duration_cycles = st.duration_cycles;
@@ -167,8 +185,7 @@ inline std::vector<Scenario> scenarios() {
 
   // Faulted fabric (captured post-PR-7): seeded random link/tile faults,
   // transient outages, and lossy wires over XY-mesh multicast traffic.  The
-  // digest fields are fault-free quantities, so this scenario pins the
-  // fault-aware reroute/prune path without touching the older fixtures.
+  // fault hash pins its reroute, prune and drop accounting.
   {
     NocConfig faulted = config(4, true, kFirst);
     faulted.faults.seed = 909;
@@ -181,6 +198,21 @@ inline std::vector<Scenario> scenarios() {
     list.push_back({"mesh4x4_xy_multicast_faulted", mesh(MeshRouting::kXY),
                     std::move(faulted),
                     patterns::multicast_traffic(909, 16, 1500, 5, 4)});
+  }
+  // Adaptive faulted fabric: west-first routing with buffer-level
+  // selection, so multicast flits that shrink to one destination switch
+  // into adaptive selection among the live candidates while transient
+  // outages reroute them and lossy wires drop copies.
+  {
+    NocConfig faulted = config(2, true, kLevel);
+    faulted.faults.seed = 1111;
+    faulted.faults.transient_link_rate = 0.5;
+    faulted.faults.transient_duration_cycles = 100;
+    faulted.faults.flit_drop_probability = 0.01;
+    faulted.faults.horizon_cycles = 500;
+    list.push_back({"mesh4x4_westfirst_multicast_buffer_level_faulted",
+                    mesh(MeshRouting::kWestFirst), std::move(faulted),
+                    patterns::multicast_traffic(1111, 16, 1500, 6, 4)});
   }
 
   return list;

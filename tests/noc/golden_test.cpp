@@ -18,6 +18,7 @@ struct GoldenFixture {
   std::uint64_t delivered_hash;
   std::uint64_t stats_hash;
   std::uint64_t snn_hash;
+  std::uint64_t fault_hash;
   std::uint64_t copies_delivered;
   std::uint64_t duration_cycles;
   std::uint64_t link_hops;
@@ -62,6 +63,7 @@ TEST(NocGolden, BitIdenticalToSeedSimulator) {
       EXPECT_EQ(d.delivered_hash, fixture->delivered_hash);
       EXPECT_EQ(d.stats_hash, fixture->stats_hash);
       EXPECT_EQ(d.snn_hash, fixture->snn_hash);
+      EXPECT_EQ(d.fault_hash, fixture->fault_hash);
     }
   }
 }

@@ -88,6 +88,7 @@ TEST(NocSessionChunking, AnyChunkingBitIdenticalToOneShotOnBothEngines) {
         EXPECT_EQ(d.delivered_hash, expected.delivered_hash);
         EXPECT_EQ(d.stats_hash, expected.stats_hash);
         EXPECT_EQ(d.snn_hash, expected.snn_hash);
+        EXPECT_EQ(d.fault_hash, expected.fault_hash);
       }
     }
   }

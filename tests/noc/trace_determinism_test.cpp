@@ -95,6 +95,7 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheSimulation) {
     EXPECT_EQ(on.sim.delivered_hash, off.delivered_hash) << scenario.name;
     EXPECT_EQ(on.sim.stats_hash, off.stats_hash) << scenario.name;
     EXPECT_EQ(on.sim.snn_hash, off.snn_hash) << scenario.name;
+    EXPECT_EQ(on.sim.fault_hash, off.fault_hash) << scenario.name;
   }
 }
 
