@@ -204,14 +204,19 @@ BENCHMARK(BM_NocIdleSkip)
     ->Arg(0)
     ->Arg(1);
 
-// --- Routing-function vs cached-table lookups -----------------------------
+// --- Routing-function lookups ---------------------------------------------
 //
-// The simulator resolves every output port through Topology::route_entry,
-// which computes via the per-topology routing function unless the opt-in
-// O(R x D) cache was built.  These legs measure both sides of that trade on
-// the same fabrics; footprint_bytes records what the cache costs in memory.
+// The simulator's route-compute stage resolves each destination's serve
+// port through Topology::route_entry, which runs the per-topology routing
+// function.  These legs measure one full R x R sweep of it per fabric;
+// footprint_bytes records the topology's O(R) routing state.
 
-void run_route_lookup(benchmark::State& state, const noc::Topology& topology) {
+void BM_RouteLookup(benchmark::State& state) {
+  const int kind = static_cast<int>(state.range(0));
+  const noc::Topology topology = kind == 0 ? noc::Topology::mesh(8, 8)
+                                 : kind == 1
+                                     ? noc::Topology::dragonfly(8, 17, 2)
+                                     : noc::Topology::fattree(8);
   const std::uint32_t n = topology.router_count();
   std::uint64_t sum = 0;
   for (auto _ : state) {
@@ -228,23 +233,9 @@ void run_route_lookup(benchmark::State& state, const noc::Topology& topology) {
   state.counters["footprint_bytes"] =
       static_cast<double>(topology.memory_footprint_bytes());
 }
-
-noc::Topology lookup_fabric(int kind, bool cached) {
-  noc::Topology t = kind == 0   ? noc::Topology::mesh(8, 8)
-                    : kind == 1 ? noc::Topology::dragonfly(8, 17, 2)
-                                : noc::Topology::fattree(8);
-  if (cached) t.build_route_cache();
-  return t;
-}
-
-void BM_RouteLookup(benchmark::State& state) {
-  const noc::Topology topology = lookup_fabric(
-      static_cast<int>(state.range(0)), state.range(1) != 0);
-  run_route_lookup(state, topology);
-}
 BENCHMARK(BM_RouteLookup)
-    ->ArgNames({"fabric", "cached"})  // 0=mesh8x8 1=dragonfly8x17x2 2=fattree8
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
+    ->ArgNames({"fabric"})  // 0=mesh8x8 1=dragonfly8x17x2 2=fattree8
+    ->DenseRange(0, 2);
 
 // --- Large-fabric construction --------------------------------------------
 //

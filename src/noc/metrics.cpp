@@ -38,14 +38,15 @@ double NocStats::throughput_aer_per_ms(
 
 namespace {
 
-/// Stable counting-sort of `spikes` by key (gather into a fresh vector).
+/// Stable counting-sort of `spikes` by key, scattered into a fresh vector.
 /// Used instead of comparison sorts because simulator delivery logs arrive
 /// pre-sorted by recv_cycle: a stable pass per remaining key reproduces the
 /// exact multi-key order at O(n) instead of O(n log n) over 48-byte
 /// elements.
 template <typename Key>
-void stable_bucket_by(std::vector<DeliveredSpike>& spikes, Key&& key,
-                      std::size_t key_bound) {
+std::vector<DeliveredSpike> stable_bucket_by(
+    const std::vector<DeliveredSpike>& spikes, Key&& key,
+    std::size_t key_bound) {
   std::vector<std::size_t> offsets(key_bound + 1, 0);
   for (const DeliveredSpike& s : spikes) {
     ++offsets[static_cast<std::size_t>(key(s)) + 1];
@@ -55,7 +56,7 @@ void stable_bucket_by(std::vector<DeliveredSpike>& spikes, Key&& key,
   for (const DeliveredSpike& s : spikes) {
     sorted[offsets[static_cast<std::size_t>(key(s))]++] = s;
   }
-  spikes = std::move(sorted);
+  return sorted;
 }
 
 /// True when a counting pass over ids bounded by `max_key` costs less than
@@ -67,14 +68,15 @@ bool dense_enough(std::uint32_t max_key, std::size_t n) {
 
 }  // namespace
 
-SnnMetrics compute_snn_metrics(std::vector<DeliveredSpike> delivered) {
+SnnMetrics compute_snn_metrics(
+    const std::vector<DeliveredSpike>& delivery_log) {
   SnnMetrics m;
-  m.delivered_spikes = delivered.size();
-  if (delivered.empty()) return m;
+  m.delivered_spikes = delivery_log.size();
+  if (delivery_log.empty()) return m;
 
   std::uint32_t max_dest = 0;
   std::uint32_t max_neuron = 0;
-  for (const DeliveredSpike& s : delivered) {
+  for (const DeliveredSpike& s : delivery_log) {
     max_dest = std::max(max_dest, s.dest_tile);
     max_neuron = std::max(max_neuron, s.source_neuron);
   }
@@ -86,9 +88,12 @@ SnnMetrics compute_snn_metrics(std::vector<DeliveredSpike> delivered) {
   // Pathologically sparse tile ids (possible for handcrafted logs — the
   // simulator's ids are bounded by tile_count) fall back to the comparison
   // sort, which also avoids the + 1 overflow a UINT32_MAX key would hit.
-  if (dense_enough(max_dest, delivered.size())) {
-    stable_bucket_by(
-        delivered, [](const DeliveredSpike& s) { return s.dest_tile; },
+  // Either way the sorted working copy is built straight from the
+  // caller's log, which stays untouched.
+  std::vector<DeliveredSpike> delivered;
+  if (dense_enough(max_dest, delivery_log.size())) {
+    delivered = stable_bucket_by(
+        delivery_log, [](const DeliveredSpike& s) { return s.dest_tile; },
         static_cast<std::size_t>(max_dest) + 1);
     const auto recv_emit_less = [](const DeliveredSpike& a,
                                    const DeliveredSpike& b) {
@@ -112,6 +117,7 @@ SnnMetrics compute_snn_metrics(std::vector<DeliveredSpike> delivered) {
       i = j;
     }
   } else {
+    delivered = delivery_log;
     std::sort(delivered.begin(), delivered.end(),
               [](const DeliveredSpike& a, const DeliveredSpike& b) {
                 if (a.dest_tile != b.dest_tile)
@@ -145,7 +151,7 @@ SnnMetrics compute_snn_metrics(std::vector<DeliveredSpike> delivered) {
   // dest-sorted array yields (neuron, dest) grouping directly; only streams
   // where congestion actually reordered arrivals need the per-stream sort.
   if (dense_enough(max_neuron, delivered.size())) {
-    stable_bucket_by(
+    delivered = stable_bucket_by(
         delivered, [](const DeliveredSpike& s) { return s.source_neuron; },
         static_cast<std::size_t>(max_neuron) + 1);
     const auto sequence_less = [](const DeliveredSpike& a,

@@ -185,6 +185,6 @@ struct SnnMetrics {
 /// spikes overtaken by a later-emitted spike.
 /// ISI distortion: per (source neuron, destination tile) stream in emission
 /// order, |(recv_i - recv_{i-1}) - (emit_i - emit_{i-1})|.
-SnnMetrics compute_snn_metrics(std::vector<DeliveredSpike> delivered);
+SnnMetrics compute_snn_metrics(const std::vector<DeliveredSpike>& delivery_log);
 
 }  // namespace snnmap::noc

@@ -39,6 +39,11 @@ struct Flit {
   /// off-chip forwards add NocConfig::offchip_link_latency to model the
   /// slower chip-to-chip SerDes crossing.
   std::uint64_t ready_cycle = 0;
+  /// Route-compute stage result at the current router: bit `o` is set when
+  /// output `o` (port_count() = local ejection) serves at least one of the
+  /// remaining destinations (for a single destination: is one of its
+  /// selectable candidates).  0 = not yet routed here; forwarding resets it.
+  std::uint64_t route_mask = 0;
 };
 
 /// Per-router state: one FIFO per input (inter-router ports in neighbor

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -12,6 +13,20 @@ namespace {
 /// Source-neuron ids below this use the flat sequence-counter array (grown
 /// lazily to the largest id seen); larger ids fall back to the hash map.
 constexpr std::uint32_t kDenseSequenceLimit = 1u << 20;
+
+// Route-compute stage encoding of one destination's serve port at the
+// flit's current router (NocSimulator::hop_port_): the output index the
+// dest leaves through, port_count() being local ejection (so a byte compares
+// straight against the arbitration loop's `out`).  Ports are < 64, which
+// leaves bit 6 for the reroute flag and bit 7 for the no-live-port sentinel.
+constexpr std::uint8_t kHopRerouted = 0x40;  ///< primary candidate was dead
+constexpr std::uint8_t kHopUnroutable = 0x80;  ///< no live port from here
+
+/// True when `mask` has no bit above the local output index `ports`.
+[[maybe_unused]] bool route_mask_fits(std::uint64_t mask,
+                                      std::uint32_t ports) {
+  return ports >= 63 || (mask >> (ports + 1)) == 0;
+}
 
 }  // namespace
 
@@ -143,6 +158,7 @@ void NocSimulator::begin() {
   seq_flat_.clear();
   seq_map_.clear();
   arena_.clear();
+  hop_port_.clear();
   arena_live_ = 0;
   active_.assign((n + 63) / 64, 0);
   staged_.clear();
@@ -284,6 +300,7 @@ void NocSimulator::sweep_unroutable() {
     Router& router = routers_[r];
     if (router.buffered_flits() == 0) continue;
     router.for_each_flit([&](Flit& f) {
+      f.route_mask = 0;  // port liveness changed: route afresh
       if (f.dest_count == 0) return;
       TileId* dests = arena_.data() + f.dest_begin;
       std::uint32_t kept = 0;
@@ -354,6 +371,7 @@ void NocSimulator::enqueue(std::vector<SpikePacketEvent> traffic) {
               return a.source_neuron < b.source_neuron;
             });
   arena_.reserve(arena_.size() + new_dests * 2);
+  hop_port_.reserve(arena_.capacity());
   if (config_.collect_delivered) {
     // Exactly one delivered copy per (event, destination) on a drained run.
     delivered_.reserve(delivered_.size() + new_dests);
@@ -383,6 +401,7 @@ Flit NocSimulator::make_flit(const SpikePacketEvent& ev, const TileId* dests,
   f.dest_begin = static_cast<std::uint32_t>(arena_.size());
   f.dest_count = count;
   arena_.insert(arena_.end(), dests, dests + count);
+  hop_port_.resize(arena_.size());
   arena_live_ += count;
   f.payload = aer_encode({ev.source_neuron & kAerMaxNeuron,
                           ev.source_tile & kAerMaxCrossbar,
@@ -475,20 +494,86 @@ void NocSimulator::inject_due() {
 }
 
 void NocSimulator::maybe_compact_arena() {
-  // Compact the destination arena once dead ranges dominate it.
+  assert(hop_port_.size() == arena_.size());
+  // Compact the destination arena once dead ranges dominate it.  Staged
+  // serve ports move with their dests: a routed head keeps its route.
   if (arena_.size() > 4096 && arena_.size() > 4 * (arena_live_ + 1)) {
     std::vector<TileId> compacted;
+    std::vector<std::uint8_t> hops;
     compacted.reserve(arena_live_);
+    hops.reserve(arena_live_);
     for (Router& router : routers_) {
       router.for_each_flit([&](Flit& f) {
+        assert(route_mask_fits(f.route_mask, router.port_count()));
         const auto begin = static_cast<std::uint32_t>(compacted.size());
         compacted.insert(compacted.end(), arena_.begin() + f.dest_begin,
                          arena_.begin() + f.dest_begin + f.dest_count);
+        hops.insert(hops.end(), hop_port_.begin() + f.dest_begin,
+                    hop_port_.begin() + f.dest_begin + f.dest_count);
         f.dest_begin = begin;
       });
     }
     arena_ = std::move(compacted);
+    hop_port_ = std::move(hops);
   }
+}
+
+void NocSimulator::compute_route(RouterId r, Flit& f) {
+  const std::uint32_t ports = routers_[r].port_count();
+  const std::uint32_t base = port_base_[r];
+  const std::uint64_t remote = (std::uint64_t{1} << ports) - 1;
+  const TileId* dests = arena_.data() + f.dest_begin;
+  std::uint64_t mask = 0;
+  if (f.dest_count == 1) {
+    // The union of the candidates the selection strategy may pick: the
+    // live ones under faults, or every remote port when none is live, so
+    // the abandon is counted at the first remote output scan.
+    const RouterId dst = tile_router_[dests[0]];
+    if (dst == r) {
+      f.route_mask = std::uint64_t{1} << ports;
+      return;
+    }
+    const Topology::RouteEntry e = topology_.route_entry(r, dst);
+    for (std::uint32_t c = 0; c < e.count; ++c) {
+      if (!faults_active_ || port_live(base + e.port[c])) {
+        mask |= std::uint64_t{1} << e.port[c];
+      }
+    }
+    if (mask == 0) {
+      PortId fb[2];
+      const std::uint32_t nf = topology_.fault_fallback_candidates(r, dst, fb);
+      for (std::uint32_t c = 0; c < nf; ++c) {
+        if (port_live(base + fb[c])) mask |= std::uint64_t{1} << fb[c];
+      }
+    }
+    f.route_mask = mask != 0 ? mask : remote;
+    return;
+  }
+  // Multicast: one serve port per destination, its first (live) candidate.
+  std::uint8_t* hops = hop_port_.data() + f.dest_begin;
+  for (std::uint32_t d = 0; d < f.dest_count; ++d) {
+    const RouterId dst = tile_router_[dests[d]];
+    std::uint8_t hop;
+    if (dst == r) {
+      hop = static_cast<std::uint8_t>(ports);
+    } else if (!faults_active_) {
+      hop = topology_.route_entry(r, dst).port[0];
+    } else {
+      const std::uint32_t p = first_live_port(r, dst);
+      if (p == kUnroutable) {
+        hops[d] = kHopUnroutable;
+        mask |= remote;
+        continue;
+      }
+      hop = static_cast<std::uint8_t>(p);
+      if (!port_live(base + topology_.route_entry(r, dst).port[0])) {
+        hop |= kHopRerouted;
+      }
+    }
+    hops[d] = hop;
+    mask |= std::uint64_t{1} << (hop & ~kHopRerouted);
+  }
+  f.route_mask = mask;
 }
 
 void NocSimulator::simulate_cycle() {
@@ -594,6 +679,7 @@ void NocSimulator::simulate_cycle() {
               }
               return;
             }
+            copy.route_mask = 0;  // routed afresh at the next router
             copy.ready_cycle =
                 now + 1 +
                 (offchip ? std::uint64_t{config_.offchip_link_latency} : 0);
@@ -625,20 +711,26 @@ void NocSimulator::simulate_cycle() {
             ++link_flits_[base + out];
           };
 
+          // Route-compute stage: the first time a head is considered at
+          // this router, route it once (compute_route); from then on an
+          // output outside its mask is skipped without touching the
+          // routing function.
+          if (head.route_mask == 0) compute_route(r, head);
+          if (((head.route_mask >> out) & 1) == 0) continue;
+
           if (head.dest_count == 1) {
             // Single-destination fast path: no subset to partition, and
             // the flit's arena range transfers to the forwarded copy
             // untouched.  Also the only case where the adaptive turn
             // models leave a choice to the selection strategy.
             const TileId dest = arena_[head.dest_begin];
-            const RouterId dst_router = tile_router_[dest];
-            if (dst_router == r) {
-              if (!local) continue;
+            if (local) {
+              // The mask names the local port only for an attached dest.
               deliver(dest);
               charge_ejection();
               --arena_live_;
             } else {
-              if (local) continue;
+              const RouterId dst_router = tile_router_[dest];
               const Topology::RouteEntry e =
                   topology_.route_entry(r, dst_router);
               // Candidate set the selection strategy picks from: the turn
@@ -721,57 +813,52 @@ void NocSimulator::simulate_cycle() {
             break;  // this output port is used for this cycle
           }
 
-          // Multi-destination flit: partition the remaining dests against
-          // this output port — local ejections when out is the local
-          // port, otherwise remote dests routed through out.  Multicast
-          // always takes each destination's first candidate, so the
-          // partition is a pure table scan.
+          // Multi-destination flit: split the remaining dests on their
+          // staged serve ports — those leaving through `out` (local
+          // ejections when out is the local port) move to match_, the rest
+          // stay with the head, compacted in place with their ports.
+          // Multicast always takes each destination's first (live)
+          // candidate, so the split is a byte compare per destination.
           match_.clear();
-          keep_.clear();
           std::size_t dropped = 0;
           std::uint64_t rerouted_dests = 0;
-          const TileId* dests = arena_.data() + head.dest_begin;
+          TileId* dests = arena_.data() + head.dest_begin;
+          std::uint8_t* hops = hop_port_.data() + head.dest_begin;
+          const std::uint32_t want = out | kHopRerouted;
+          std::uint32_t kept = 0;
           for (std::uint32_t d = 0; d < head.dest_count; ++d) {
-            const TileId dest = dests[d];
-            const RouterId dst_router = tile_router_[dest];
-            bool served;
-            if (dst_router == r) {
-              served = local;
-            } else if (local) {
-              served = false;
-            } else if (!faults_active_) {
-              served = topology_.route_entry(r, dst_router).port[0] == out;
+            const std::uint8_t hop = hops[d];
+            if (static_cast<std::uint32_t>(hop | kHopRerouted) == want) {
+              match_.push_back(dests[d]);
+              if ((hop & kHopRerouted) != 0) ++rerouted_dests;
+            } else if (hop == kHopUnroutable && !local) {
+              // No live port from here: the dest leaves the flit, counted
+              // once, at the first remote output scan that reaches it.
+              ++dropped;
             } else {
-              // Fault-aware serve port: first live candidate (with
-              // topology fallback).  Unroutable dests leave the flit —
-              // counted once, here, never rescanned.
-              const std::uint32_t p = first_live_port(r, dst_router);
-              if (p == kUnroutable) {
-                ++dropped;
-                continue;
-              }
-              served = p == out;
-              if (served &&
-                  !port_live(base +
-                             topology_.route_entry(r, dst_router).port[0])) {
-                ++rerouted_dests;
-              }
+              dests[kept] = dests[d];
+              hops[kept] = hop;
+              ++kept;
             }
-            (served ? match_ : keep_).push_back(dest);
           }
           if (dropped != 0) {
             stats_.fault.copies_unroutable += dropped;
             arena_live_ -= dropped;
           }
+          // No remaining dest leaves through `out` now.  A head left with
+          // one dest takes the adaptive single-destination path, whose
+          // candidate set is wider: it is routed afresh.
+          const auto shrink_head = [&] {
+            head.dest_count = kept;
+            head.route_mask = kept == 1
+                                  ? 0
+                                  : head.route_mask &
+                                        ~(std::uint64_t{1} << out);
+          };
           if (match_.empty()) {
-            if (dropped != 0) {
-              // Commit the shrunken dest set even though nothing was
-              // served through this port, so the dropped dests are not
-              // re-counted by the next output-port scan.
-              std::copy(keep_.begin(), keep_.end(),
-                        arena_.begin() + head.dest_begin);
-              head.dest_count = static_cast<std::uint32_t>(keep_.size());
-            }
+            // Only unroutable dests went (fault path): commit the shrunken
+            // set so the next output scan does not re-count them.
+            shrink_head();
             continue;
           }
           stats_.fault.reroutes += rerouted_dests;
@@ -784,22 +871,17 @@ void NocSimulator::simulate_cycle() {
             arena_live_ -= match_.size();
           } else {
             Flit copy = head;
-            if (keep_.empty() && dropped == 0) {
-              // Whole set forwards through one port: transfer the range.
-            } else {
+            if (kept != 0 || dropped != 0) {
               copy.dest_begin = static_cast<std::uint32_t>(arena_.size());
               copy.dest_count = static_cast<std::uint32_t>(match_.size());
               arena_.insert(arena_.end(), match_.begin(), match_.end());
+              hop_port_.resize(arena_.size());
             }
+            // else the whole set forwards through one port: the copy
+            // takes over the head's range.
             forward(copy);
           }
-          // Served destinations leave the head flit (order preserved);
-          // it pops once empty.
-          if (!keep_.empty()) {
-            std::copy(keep_.begin(), keep_.end(),
-                      arena_.begin() + head.dest_begin);
-          }
-          head.dest_count = static_cast<std::uint32_t>(keep_.size());
+          shrink_head();
           router.advance_rr(out);
           break;  // this output port is used for this cycle
         }
@@ -987,6 +1069,14 @@ WindowEnergySample NocSimulator::close_energy_window() {
 }
 
 NocRunResult NocSimulator::finish() {
+  assert(hop_port_.size() == arena_.size());
+#ifndef NDEBUG
+  for (Router& router : routers_) {
+    router.for_each_flit([&](const Flit& f) {
+      assert(route_mask_fits(f.route_mask, router.port_count()));
+    });
+  }
+#endif
   NocRunResult result;
   stats_.duration_cycles = now_;
   // Interconnect energy is the exact activity counters priced at the model

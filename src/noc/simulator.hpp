@@ -9,13 +9,16 @@
 // SNN-specific metrics (disorder, ISI distortion) are computed.
 //
 // The hot path is flat-array and worklist-driven (see README "NoC simulator
-// architecture"): routing decisions are packed Topology::route_entry()
-// lookups (the per-topology routing functions, or an O(1) cache load if the
-// caller opted into Topology::build_route_cache()), multicast destination
-// sets live in a pooled arena so forking a subset at a router is a partition
-// instead of an allocate-copy-erase, and only routers with buffered flits
-// are visited each cycle.  The cycle-level semantics are bit-identical to
-// the original per-router scan engine (pinned by tests/noc/golden_test.cpp).
+// architecture"): a route-compute stage calls the per-topology routing
+// function (Topology::route_entry()) once per destination per hop, when a
+// head flit is first considered at a router, and keeps the result with the
+// flit — a per-output mask (Flit::route_mask) plus one serve port per
+// destination beside the pooled destination arena — so arbitration skips
+// outputs a head does not use and forking a multicast subset at a router is
+// an in-place byte-compare partition instead of an allocate-copy-erase.
+// Only routers with buffered flits are visited each cycle.  The cycle-level
+// semantics are bit-identical to the original per-router scan engine
+// (pinned by tests/noc/golden_test.cpp).
 //
 // Multi-chip fabrics: links the topology tags off-chip charge the distinct
 // EnergyModel::offchip_link_hop_pj per traversal and delay the flit by
@@ -280,6 +283,12 @@ class NocSimulator {
                  std::uint32_t count);
   void inject_due();
   void maybe_compact_arena();
+  /// Route-compute stage: fills `f`'s route_mask at router `r` and, for a
+  /// multicast flit, the serve port of each remaining destination in
+  /// hop_port_.  Valid until the flit moves on, shrinks to one destination,
+  /// or a fault transition changes port liveness (each of which resets the
+  /// mask to 0, so the next arbitration pass routes it afresh).
+  void compute_route(RouterId r, Flit& f);
   void simulate_cycle();
 
   // --- fault path (every call site is gated on faults_active_) -----------
@@ -337,9 +346,12 @@ class NocSimulator {
   // head's range in place; dead ranges are reclaimed by compaction once
   // they dominate the pool.
   std::vector<TileId> arena_;
+  // Parallel to arena_: the staged serve port of each destination at its
+  // flit's current router (see compute_route; meaningful only while the
+  // owning flit's route_mask is nonzero).
+  std::vector<std::uint8_t> hop_port_;
   std::size_t arena_live_ = 0;
   std::vector<TileId> match_;  // dests served via the current output port
-  std::vector<TileId> keep_;   // dests staying with the head flit
   // Active-router worklist: one bit per router, scanned in id order so the
   // arbitration order (and therefore every golden stream) matches the full
   // per-router scan exactly, while idle routers cost nothing.

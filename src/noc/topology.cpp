@@ -27,9 +27,7 @@ void Topology::set_mesh_routing(MeshRouting routing) {
   if (kind_ != hw::InterconnectKind::kMesh) {
     throw std::logic_error("Topology: routing algorithms apply to mesh only");
   }
-  if (routing == routing_) return;
   routing_ = routing;
-  if (has_route_cache()) build_route_cache();  // candidate sets changed
 }
 
 void Topology::check_router(RouterId router) const {
@@ -83,12 +81,6 @@ std::uint32_t Topology::route_candidates(RouterId router, RouterId dst,
   if (router == dst) {
     out[0] = kLocalPort;
     return 1;
-  }
-  if (!route_table_.empty()) {
-    const RouteEntry& e =
-        route_table_[static_cast<std::size_t>(router) * router_count() + dst];
-    for (std::uint32_t k = 0; k < e.count; ++k) out[k] = e.port[k];
-    return e.count;
   }
   return compute_candidates(router, dst, out);
 }
@@ -424,27 +416,6 @@ std::uint32_t Topology::hop_distance(TileId a, TileId b) const {
   return router_hop_distance(router_of_tile(a), router_of_tile(b));
 }
 
-void Topology::build_route_cache() {
-  const std::uint32_t n = router_count();
-  std::uint32_t max_ports = 0;
-  for (const auto& nb : neighbors_) {
-    max_ports = std::max(max_ports, static_cast<std::uint32_t>(nb.size()));
-  }
-  if (max_ports >= kTableLocal) {
-    throw std::invalid_argument(
-        "Topology: route cache needs < 255 ports per router (packed uint8 "
-        "encoding)");
-  }
-  route_table_.clear();  // route_entry must compute while we fill
-  std::vector<RouteEntry> table(static_cast<std::size_t>(n) * n);
-  for (RouterId r = 0; r < n; ++r) {
-    for (RouterId dst = 0; dst < n; ++dst) {
-      table[static_cast<std::size_t>(r) * n + dst] = route_entry(r, dst);
-    }
-  }
-  route_table_ = std::move(table);
-}
-
 void Topology::assign_chips(std::uint32_t chips) {
   if (chips == 0) {
     throw std::invalid_argument("Topology: chip count must be >= 1");
@@ -503,7 +474,6 @@ std::size_t Topology::memory_footprint_bytes() const noexcept {
   bytes += router_tile_.capacity() * sizeof(TileId);
   bytes += tree_level_start_.capacity() * sizeof(RouterId);
   bytes += router_chip_.capacity() * sizeof(std::uint32_t);
-  bytes += route_table_.capacity() * sizeof(RouteEntry);
   return bytes;
 }
 

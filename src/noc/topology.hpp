@@ -8,10 +8,11 @@
 // Routing is computed by compact per-topology *routing functions* — O(1) for
 // mesh/ring/fat-tree, O(log R) for the tree, O(a*h/(g-1)) replica scan for
 // the dragonfly — so a Topology holds only O(R) state (adjacency + per-kind
-// metadata), never an R x D table.  The packed per-(router, dst) table is an
-// optional opt-in cache (build_route_cache()) for hot simulation loops; it
-// is filled from the same routing functions, so cached and uncached lookups
-// are identical by construction (pinned by tests/noc/route_function_test).
+// metadata), never an R x D table.  The simulator calls them once per
+// destination per hop (its route-compute stage keeps the result with the
+// buffered flit), so no table is needed to keep them off the hot path.
+// route_entry(), route_candidates() and next_port() agree entry for entry
+// (pinned by tests/noc/route_function_test).
 //
 // A topology also carries the chip boundary: assign_chips(c) splits the tile
 // array contiguously across `c` chips and tags every link whose endpoints
@@ -123,28 +124,11 @@ class Topology {
   /// Sentinel port value inside RouteEntry marking local delivery.
   static constexpr std::uint8_t kTableLocal = 0xFF;
 
-  /// Opt-in O(R x D) cache of packed route entries, filled from the routing
-  /// functions (so cached and uncached lookups agree entry for entry).
-  /// Only worth building for small fabrics on hot simulation paths; throws
-  /// std::invalid_argument when some router has >= 255 ports (the packed
-  /// uint8 encoding would not fit).
-  void build_route_cache();
-  bool has_route_cache() const noexcept { return !route_table_.empty(); }
-  /// The cache (empty unless build_route_cache() ran), router-major:
-  /// entry `router * router_count() + dst`.
-  const std::vector<RouteEntry>& route_table() const noexcept {
-    return route_table_;
-  }
-
-  /// Packed candidates for one (router, dst) pair: an O(1) cache load when
-  /// the cache is built, otherwise computed by the routing function.  Hot
-  /// path: no bounds checks; ids must be < router_count() and every router
-  /// must have < 255 ports (the NocSimulator constructor enforces both).
+  /// Packed candidates for one (router, dst) pair, computed by the routing
+  /// function.  Hot path: no bounds checks; ids must be < router_count()
+  /// and every router must have < 255 ports (the NocSimulator constructor
+  /// enforces both).
   RouteEntry route_entry(RouterId router, RouterId dst) const {
-    if (!route_table_.empty()) {
-      return route_table_[static_cast<std::size_t>(router) * router_count() +
-                          dst];
-    }
     RouteEntry e;
     if (router == dst) {
       e.count = 1;
@@ -175,8 +159,7 @@ class Topology {
   std::uint32_t fault_fallback_candidates(RouterId router, RouterId dst,
                                           PortId out[2]) const;
 
-  /// Mesh only; throws std::logic_error on other topologies.  Rebuilds the
-  /// route cache if one was built (candidate sets depend on the algorithm).
+  /// Mesh only; throws std::logic_error on other topologies.
   void set_mesh_routing(MeshRouting routing);
   MeshRouting mesh_routing() const noexcept { return routing_; }
 
@@ -208,15 +191,15 @@ class Topology {
   }
 
   /// Heap bytes held by this topology (adjacency, tile maps, per-kind
-  /// routing metadata, chip map, and the route cache if built).  The
-  /// footprint bench report pins that function-routed construction is O(R).
+  /// routing metadata and chip map).  The footprint bench report pins that
+  /// function-routed construction is O(R).
   std::size_t memory_footprint_bytes() const noexcept;
 
  private:
   Topology() = default;
   void finish_tiles_one_per_router(std::uint32_t n);
-  /// The per-topology routing function backing route_candidates(),
-  /// route_entry() and build_route_cache().  Unchecked ids; router != dst.
+  /// The per-topology routing function backing route_candidates() and
+  /// route_entry().  Unchecked ids; router != dst.
   std::uint32_t compute_candidates(RouterId router, RouterId dst,
                                    PortId out[3]) const;
   std::uint32_t mesh_candidates(RouterId router, RouterId dst,
@@ -251,7 +234,6 @@ class Topology {
   std::vector<std::vector<RouterId>> neighbors_;
   std::vector<RouterId> tile_router_;  // tile -> router
   std::vector<TileId> router_tile_;    // router -> tile or kNoRouter
-  std::vector<RouteEntry> route_table_;  // opt-in cache, router-major
   std::uint32_t link_count_ = 0;
   std::uint32_t chip_count_ = 1;
   std::vector<std::uint32_t> router_chip_;  // empty on one chip
