@@ -256,19 +256,29 @@ std::vector<TileId> NocSimulator::take_dead_tiles() {
   return out;
 }
 
-std::uint32_t NocSimulator::first_live_port(RouterId r, RouterId dst) const {
-  const Topology::RouteEntry e = topology_.route_entry(r, dst);
+std::uint32_t NocSimulator::live_candidates(RouterId r, RouterId dst,
+                                            const Topology::RouteEntry& e,
+                                            std::uint8_t out[3]) const {
   const std::uint32_t base = port_base_[r];
+  std::uint32_t count = 0;
   for (std::uint32_t c = 0; c < e.count; ++c) {
-    if (port_live(base + e.port[c])) return e.port[c];
+    if (port_live(base + e.port[c])) out[count++] = e.port[c];
   }
+  if (count != 0) return count;
   PortId fallback[2];
   const std::uint32_t n = topology_.fault_fallback_candidates(r, dst,
                                                               fallback);
   for (std::uint32_t c = 0; c < n; ++c) {
-    if (port_live(base + fallback[c])) return fallback[c];
+    if (port_live(base + fallback[c])) {
+      out[count++] = static_cast<std::uint8_t>(fallback[c]);
+    }
   }
-  return kUnroutable;
+  return count;
+}
+
+bool NocSimulator::routable(RouterId r, RouterId dst) const {
+  std::uint8_t live[3];
+  return live_candidates(r, dst, topology_.route_entry(r, dst), live) != 0;
 }
 
 void NocSimulator::purge_router(RouterId r) {
@@ -311,7 +321,7 @@ void NocSimulator::sweep_unroutable() {
             fault_model_.tile_live(dest) &&
             fault_model_.router_live(dst_router) &&
             (dst_router == r ||
-             first_live_port(r, dst_router) != kUnroutable);
+             routable(r, dst_router));
         if (alive) {
           dests[kept++] = dest;
         } else {
@@ -450,7 +460,7 @@ void NocSimulator::inject_due() {
             fault_model_.tile_live(dests[d]) &&
             fault_model_.router_live(dst_router) &&
             (dst_router == src_router ||
-             first_live_port(src_router, dst_router) != kUnroutable);
+             routable(src_router, dst_router));
         if (alive) {
           live_dests_.push_back(dests[d]);
         } else {
@@ -520,58 +530,42 @@ void NocSimulator::maybe_compact_arena() {
 
 void NocSimulator::compute_route(RouterId r, Flit& f) {
   const std::uint32_t ports = routers_[r].port_count();
-  const std::uint32_t base = port_base_[r];
   const std::uint64_t remote = (std::uint64_t{1} << ports) - 1;
   const TileId* dests = arena_.data() + f.dest_begin;
-  std::uint64_t mask = 0;
-  if (f.dest_count == 1) {
-    // The union of the candidates the selection strategy may pick: the
-    // live ones under faults, or every remote port when none is live, so
-    // the abandon is counted at the first remote output scan.
-    const RouterId dst = tile_router_[dests[0]];
-    if (dst == r) {
-      f.route_mask = std::uint64_t{1} << ports;
-      return;
-    }
-    const Topology::RouteEntry e = topology_.route_entry(r, dst);
-    for (std::uint32_t c = 0; c < e.count; ++c) {
-      if (!faults_active_ || port_live(base + e.port[c])) {
-        mask |= std::uint64_t{1} << e.port[c];
-      }
-    }
-    if (mask == 0) {
-      PortId fb[2];
-      const std::uint32_t nf = topology_.fault_fallback_candidates(r, dst, fb);
-      for (std::uint32_t c = 0; c < nf; ++c) {
-        if (port_live(base + fb[c])) mask |= std::uint64_t{1} << fb[c];
-      }
-    }
-    f.route_mask = mask != 0 ? mask : remote;
-    return;
-  }
-  // Multicast: one serve port per destination, its first (live) candidate.
   std::uint8_t* hops = hop_port_.data() + f.dest_begin;
+  std::uint64_t mask = 0;
   for (std::uint32_t d = 0; d < f.dest_count; ++d) {
     const RouterId dst = tile_router_[dests[d]];
-    std::uint8_t hop;
     if (dst == r) {
-      hop = static_cast<std::uint8_t>(ports);
-    } else if (!faults_active_) {
-      hop = topology_.route_entry(r, dst).port[0];
-    } else {
-      const std::uint32_t p = first_live_port(r, dst);
-      if (p == kUnroutable) {
-        hops[d] = kHopUnroutable;
-        mask |= remote;
-        continue;
-      }
-      hop = static_cast<std::uint8_t>(p);
-      if (!port_live(base + topology_.route_entry(r, dst).port[0])) {
-        hop |= kHopRerouted;
-      }
+      hops[d] = static_cast<std::uint8_t>(ports);
+      mask |= std::uint64_t{1} << ports;
+      continue;
     }
-    hops[d] = hop;
-    mask |= std::uint64_t{1} << (hop & ~kHopRerouted);
+    const Topology::RouteEntry e = topology_.route_entry(r, dst);
+    const std::uint8_t* cand = e.port;
+    std::uint32_t count = e.count;
+    std::uint8_t live[3];
+    if (faults_active_) {
+      count = live_candidates(r, dst, e, live);
+      cand = live;
+    }
+    if (count == 0) {
+      // No live port: every remote bit, so the abandon is counted at the
+      // first remote output scan, exactly where arbitration meets it.
+      hops[d] = kHopUnroutable;
+      mask |= remote;
+      continue;
+    }
+    // Multicast serves each destination through its first (live)
+    // candidate; a lone destination may take any of them, as the
+    // selection strategy decides per cycle.
+    const std::uint32_t usable = f.dest_count == 1 ? count : 1;
+    for (std::uint32_t c = 0; c < usable; ++c) {
+      mask |= std::uint64_t{1} << cand[c];
+    }
+    hops[d] = cand[0] == e.port[0]
+                  ? cand[0]
+                  : static_cast<std::uint8_t>(cand[0] | kHopRerouted);
   }
   f.route_mask = mask;
 }
@@ -739,25 +733,10 @@ void NocSimulator::simulate_cycle() {
               // candidate is masked) under active faults.
               const std::uint8_t* cand = e.port;
               std::uint32_t cand_count = e.count;
-              std::uint8_t live[5];
+              std::uint8_t live[3];
               bool rerouted = false;
               if (faults_active_) {
-                cand_count = 0;
-                for (std::uint32_t c = 0; c < e.count; ++c) {
-                  if (port_live(base + e.port[c])) {
-                    live[cand_count++] = e.port[c];
-                  }
-                }
-                if (cand_count == 0) {
-                  PortId fb[2];
-                  const std::uint32_t nf =
-                      topology_.fault_fallback_candidates(r, dst_router, fb);
-                  for (std::uint32_t c = 0; c < nf; ++c) {
-                    if (port_live(base + fb[c])) {
-                      live[cand_count++] = static_cast<std::uint8_t>(fb[c]);
-                    }
-                  }
-                }
+                cand_count = live_candidates(r, dst_router, e, live);
                 if (cand_count == 0) {
                   // Every road out is dead: the copy is abandoned here
                   // (counted, never wedged) and the flit pops below.

@@ -283,17 +283,15 @@ class NocSimulator {
                  std::uint32_t count);
   void inject_due();
   void maybe_compact_arena();
-  /// Route-compute stage: fills `f`'s route_mask at router `r` and, for a
-  /// multicast flit, the serve port of each remaining destination in
-  /// hop_port_.  Valid until the flit moves on, shrinks to one destination,
+  /// Route-compute stage: fills `f`'s route_mask at router `r` and the
+  /// serve port of each remaining destination in hop_port_ (read by the
+  /// multicast split).  Valid until the flit moves on, shrinks to one destination,
   /// or a fault transition changes port liveness (each of which resets the
   /// mask to 0, so the next arbitration pass routes it afresh).
   void compute_route(RouterId r, Flit& f);
   void simulate_cycle();
 
   // --- fault path (every call site is gated on faults_active_) -----------
-  /// Sentinel returned by first_live_port when no candidate is live.
-  static constexpr std::uint32_t kUnroutable = static_cast<std::uint32_t>(-1);
   /// True when the link behind global port `g` and the router at its far
   /// end are both live.
   // snnmap-lint: allow(hoisted-gate) -- helper for the fault path; every
@@ -302,9 +300,15 @@ class NocSimulator {
     return fault_model_.link_live(g) &&
            fault_model_.router_live(neighbor_[g]);
   }
-  /// First live next-hop port from `r` toward `dst` (route candidates,
-  /// then the topology's fault fallbacks), or kUnroutable.
-  std::uint32_t first_live_port(RouterId r, RouterId dst) const;
+  /// Live next-hop ports from `r` toward `dst` whose route entry is `e`:
+  /// the live route candidates, or when every one is masked the live
+  /// topology fault fallbacks.  Writes them to `out` in priority order and
+  /// returns the count (0 = unroutable from here).
+  std::uint32_t live_candidates(RouterId r, RouterId dst,
+                                const Topology::RouteEntry& e,
+                                std::uint8_t out[3]) const;
+  /// True when live_candidates() from `r` toward `dst` is non-empty.
+  bool routable(RouterId r, RouterId dst) const;
   /// Applies every fault transition with cycle <= now(): purges dying
   /// routers' buffers, then re-prunes buffered flits whose destinations
   /// became dead or unroutable.
