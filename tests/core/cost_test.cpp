@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -87,6 +88,58 @@ TEST(CostModel, MulticastCollapsesSameCrossbarTargets) {
   EXPECT_EQ(cost.multicast_packet_count(make_partition({0, 1, 1}, 2)), 4u);
   EXPECT_EQ(cost.multicast_packet_count(make_partition({0, 1, 2}, 3)), 8u);
   EXPECT_EQ(cost.multicast_packet_count(make_partition({0, 0, 0}, 2)), 0u);
+}
+
+TEST(CostModel, MulticastCountMatchesBruteForce) {
+  // Reference: one packet per spike per distinct remote assigned crossbar.
+  // Random graphs carry self-loops and duplicate edges, and random
+  // assignments leave some neurons kUnassigned, as source and as target.
+  // One model serves every crossbar count, so its stamp scratch both grows
+  // and is reused between calls.
+  util::Rng rng(31);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.below(60));
+    std::vector<snn::GraphEdge> edges;
+    const std::uint64_t edge_count = rng.below(6 * n);
+    for (std::uint64_t e = 0; e < edge_count; ++e) {
+      const auto pre = static_cast<std::uint32_t>(rng.below(n));
+      const auto post = rng.chance(0.1)
+                            ? pre
+                            : static_cast<std::uint32_t>(rng.below(n));
+      edges.push_back({pre, post, 1.0F});
+      if (rng.chance(0.1)) edges.push_back({pre, post, 1.0F});
+    }
+    std::vector<snn::SpikeTrain> trains(n);
+    for (auto& train : trains) {
+      const std::uint64_t spikes = rng.below(4);
+      for (std::uint64_t s = 0; s < spikes; ++s) {
+        train.push_back(static_cast<double>(s + 1));
+      }
+    }
+    const auto g = snn::SnnGraph::from_parts(n, edges, std::move(trains),
+                                             10.0);
+    const CostModel cost(g);
+    for (std::uint32_t c = 1; c <= 70; ++c) {
+      std::vector<CrossbarId> assignment(n);
+      for (auto& k : assignment) {
+        k = rng.chance(0.1) ? kUnassigned
+                            : static_cast<CrossbarId>(rng.below(c));
+      }
+      std::vector<std::set<CrossbarId>> remote(n);
+      for (const auto& e : edges) {
+        const CrossbarId to = assignment[e.post];
+        if (to != kUnassigned && to != assignment[e.pre]) {
+          remote[e.pre].insert(to);
+        }
+      }
+      std::uint64_t expected = 0;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        expected += g.spike_count(i) * remote[i].size();
+      }
+      EXPECT_EQ(cost.multicast_packet_count(assignment), expected)
+          << "trial " << trial << ", " << c << " crossbars";
+    }
+  }
 }
 
 TEST(CostModel, MoveDeltaMatchesRecomputation) {

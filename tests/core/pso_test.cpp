@@ -224,6 +224,49 @@ TEST(Pso, RejectsNonFiniteInertiaAndAccelerations) {
   }
 }
 
+/// Edge shapes the swarm step must survive: whatever the shape, PSO returns
+/// a valid partition of cost 0 after exactly swarm * iterations fitness
+/// evaluations.
+void expect_valid_zero_cost(const snn::SnnGraph& g,
+                            const hw::Architecture& arch) {
+  PsoConfig config;
+  config.swarm_size = 12;
+  config.iterations = 10;
+  config.seed = 5;
+  config.threads = 2;
+  const auto result = PsoPartitioner(g, arch, config).optimize();
+  EXPECT_NO_THROW(result.best.validate(arch));
+  EXPECT_EQ(result.best.neuron_count(), g.neuron_count());
+  EXPECT_EQ(result.best_cost, 0u);
+  EXPECT_EQ(result.fitness_evaluations, 120u);
+}
+
+TEST(Pso, EdgeShapeOneCrossbar) {
+  hw::Architecture arch;
+  arch.crossbar_count = 1;
+  arch.neurons_per_crossbar = 16;
+  expect_valid_zero_cost(two_cliques(), arch);
+}
+
+TEST(Pso, EdgeShapeEmptyNetwork) {
+  expect_valid_zero_cost(snn::SnnGraph::from_parts(0, {}, {}, 10.0),
+                         arch_2x6());
+}
+
+TEST(Pso, EdgeShapeAllSilentNetwork) {
+  std::vector<snn::GraphEdge> edges;
+  for (std::uint32_t a = 0; a < 10; ++a) edges.push_back({a, 9 - a, 1.0F});
+  expect_valid_zero_cost(
+      snn::SnnGraph::from_parts(10, std::move(edges),
+                                std::vector<snn::SpikeTrain>(10), 10.0),
+      arch_2x6());
+}
+
+TEST(Pso, EdgeShapeExactCapacity) {
+  // 12 neurons on 2 x 6 slots: every repair must fill both crossbars.
+  expect_valid_zero_cost(interleaved_cliques(), arch_2x6());
+}
+
 TEST(Pso, CountsFitnessEvaluations) {
   const auto g = two_cliques();
   PsoConfig config;
