@@ -95,16 +95,17 @@ std::uint64_t CostModel::multicast_packet_count(
   for (std::uint32_t i = 0; i < graph_.neuron_count(); ++i) {
     const std::uint64_t spikes = graph_.spike_count(i);
     if (spikes == 0) continue;
+    // Stamping the own crossbar first makes it count as already seen, so
+    // the fanout loop counts each remote crossbar once without a branch.
     ++stamp_;
-    std::uint64_t remotes = 0;
     const CrossbarId own = assignment[i];
+    if (own != kUnassigned) crossbar_stamp_[own] = stamp_;
+    std::uint64_t remotes = 0;
     for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
       const CrossbarId c = assignment[targets[k]];
-      if (c == own || c == kUnassigned) continue;
-      if (crossbar_stamp_[c] != stamp_) {
-        crossbar_stamp_[c] = stamp_;
-        ++remotes;
-      }
+      if (c == kUnassigned) continue;
+      remotes += crossbar_stamp_[c] != stamp_;
+      crossbar_stamp_[c] = stamp_;
     }
     packets += spikes * remotes;
   }

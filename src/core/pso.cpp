@@ -165,23 +165,34 @@ void PsoPartitioner::update_particle(Particle& p,
                                      util::Rng& rng, const CostModel& model,
                                      RepairScratch& scratch) const {
   // Velocity + position update (Eq. 1 with inertia and per-component random
-  // scaling), then binarize + repair (Eqs. 2-5).
+  // scaling), then binarize + repair (Eqs. 2-5).  Position, pbest and gbest
+  // are one-hot, so (pb - x) and (gb - x) are nonzero only on crossbars
+  // xi, pbi and gbi: every other dimension is exactly inertia * v, and the
+  // random terms are drawn only where they are nonzero.  Each dimension adds
+  // its terms in Eq. 1's order (inertia, cognitive, social).
   const std::uint32_t n = graph_.neuron_count();
   const std::uint32_t c = arch_.crossbar_count;
+  auto& acc = scratch.row;
+  acc.resize(c);
   for (std::uint32_t i = 0; i < n; ++i) {
+    float* v = p.velocity.data() + static_cast<std::size_t>(i) * c;
+    for (std::uint32_t k = 0; k < c; ++k) {
+      acc[k] = config_.inertia * static_cast<double>(v[k]);
+    }
     const CrossbarId xi = p.position[i];
     const CrossbarId pbi = p.best_position.empty() ? xi : p.best_position[i];
     const CrossbarId gbi = gbest[i];
+    if (pbi != xi) {
+      acc[xi] -= config_.phi1 * rng.uniform();
+      acc[pbi] += config_.phi1 * rng.uniform();
+    }
+    if (gbi != xi) {
+      acc[xi] -= config_.phi2 * rng.uniform();
+      acc[gbi] += config_.phi2 * rng.uniform();
+    }
     for (std::uint32_t k = 0; k < c; ++k) {
-      const std::size_t d = static_cast<std::size_t>(i) * c + k;
-      const double x = xi == k ? 1.0 : 0.0;
-      const double pb = pbi == k ? 1.0 : 0.0;
-      const double gb = gbi == k ? 1.0 : 0.0;
-      double v = config_.inertia * static_cast<double>(p.velocity[d]) +
-                 config_.phi1 * rng.uniform() * (pb - x) +
-                 config_.phi2 * rng.uniform() * (gb - x);
-      v = std::clamp(v, -config_.v_max, config_.v_max);
-      p.velocity[d] = static_cast<float>(v);
+      v[k] = static_cast<float>(
+          std::clamp(acc[k], -config_.v_max, config_.v_max));
     }
   }
   binarize_and_repair(p, rng, model, scratch);
@@ -194,24 +205,28 @@ void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng,
   const std::uint32_t c = arch_.crossbar_count;
   // Per-neuron stochastic binarization (Eqs. 2-3) followed by one-hot repair
   // (Eq. 4): among the sampled set bits keep one uniformly; if none were
-  // sampled, roulette-select a crossbar proportionally to sigmoid(v).
+  // sampled, roulette-select a crossbar proportionally to sigmoid(v).  The
+  // set bits are collected without a branch, then one bounded draw picks.
   auto& probs = scratch.probs;
+  auto& picks = scratch.picks;
   probs.resize(c);
+  picks.resize(c);
   for (std::uint32_t i = 0; i < n; ++i) {
+    const float* v = p.velocity.data() + static_cast<std::size_t>(i) * c;
     double prob_sum = 0.0;
     for (std::uint32_t k = 0; k < c; ++k) {
-      probs[k] = sigmoid(static_cast<double>(p.velocity[i * c + k]));
+      probs[k] = sigmoid(static_cast<double>(v[k]));
       prob_sum += probs[k];
     }
-    CrossbarId chosen = kUnassigned;
     std::uint32_t set_bits = 0;
     for (std::uint32_t k = 0; k < c; ++k) {
-      if (rng.uniform() < probs[k]) {
-        ++set_bits;
-        if (rng.below(set_bits) == 0) chosen = k;
-      }
+      picks[set_bits] = k;
+      set_bits += rng.uniform() < probs[k];
     }
-    if (chosen == kUnassigned) {
+    CrossbarId chosen = kUnassigned;
+    if (set_bits > 0) {
+      chosen = picks[rng.below(set_bits)];
+    } else {
       double target = rng.uniform() * prob_sum;
       for (std::uint32_t k = 0; k < c; ++k) {
         target -= probs[k];

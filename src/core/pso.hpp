@@ -4,10 +4,14 @@
 // Velocities update per Eq. 1 (with an inertia weight and per-component
 // random scaling of the cognitive/social terms, the standard Eberhart-
 // Kennedy instantiation the paper cites); positions binarize through the
-// sigmoid rule of Eqs. 2-3.  Raw binarized positions rarely satisfy the
+// sigmoid rule of Eqs. 2-3.  Position, pbest and gbest are one-hot, so the
+// cognitive and social terms of Eq. 1 are nonzero on at most three of a
+// neuron's C dimensions, and their random scalings are drawn only there
+// (at most 4 draws per neuron).  Raw binarized positions rarely satisfy the
 // constraints, so two repair operators run after every update:
 //   1. one-hot repair (Eq. 4): per neuron, keep exactly one set bit —
-//      sampled proportionally to the sigmoid probabilities;
+//      one bounded draw, uniform over the sampled set bits, or roulette
+//      proportional to the sigmoid probabilities when none was sampled;
 //   2. capacity repair (Eq. 5): overflow neurons migrate to the crossbar
 //      with free space that least increases the fitness.
 // The swarm can be seeded with the PACMAN/NEUTRAMS baseline solutions
@@ -90,9 +94,11 @@ class PsoPartitioner {
     std::uint64_t best_cost = ~0ULL;
   };
 
-  /// Repair buffers of one worker, reused across the particle steps it runs.
+  /// Step buffers of one worker, reused across the particle steps it runs.
   struct RepairScratch {
+    std::vector<double> row;                          // C Eq. 1 velocities
     std::vector<double> probs;                        // C sigmoid probabilities
+    std::vector<CrossbarId> picks;                    // sampled set bits
     std::vector<std::uint32_t> occ;                   // C crossbar occupancies
     std::vector<std::uint32_t> pool;                  // evicted neurons
     std::vector<std::vector<std::uint32_t>> members;  // C resident lists

@@ -13,54 +13,12 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
   // splitmix64 expansion guarantees a non-zero state for any seed.
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t Rng::below(std::uint64_t n) noexcept {
-  if (n == 0) return 0;
-  // Lemire's nearly-divisionless bounded generation.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-  std::uint64_t l = static_cast<std::uint64_t>(m);
-  if (l < n) {
-    const std::uint64_t t = (0 - n) % n;
-    while (l < t) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {

@@ -9,6 +9,7 @@
 // fully specified.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +23,10 @@ class Rng {
 
   /// Constructs a generator whose entire stream is a pure function of `seed`.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept;
+
+  // next(), uniform() and below() are the per-draw hot path of the PSO
+  // particle step and the NoC and spike-source streams, so they are defined
+  // inline below the class; the rest of the distributions live in rng.cpp.
 
   /// Next raw 64-bit value.
   std::uint64_t next() noexcept;
@@ -76,5 +81,43 @@ class Rng {
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };
+
+inline std::uint64_t Rng::next() noexcept {
+  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = std::rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::uniform() noexcept {
+  // 53 high bits -> double in [0, 1).
+  return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::uniform(double lo, double hi) noexcept {
+  return lo + (hi - lo) * uniform();
+}
+
+inline std::uint64_t Rng::below(std::uint64_t n) noexcept {
+  if (n == 0) return 0;
+  // Lemire's nearly-divisionless bounded generation.
+  std::uint64_t x = next();
+  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+  std::uint64_t l = static_cast<std::uint64_t>(m);
+  if (l < n) {
+    const std::uint64_t t = (0 - n) % n;
+    while (l < t) {
+      x = next();
+      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(n);
+      l = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
 
 }  // namespace snnmap::util
