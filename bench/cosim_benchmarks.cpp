@@ -3,7 +3,9 @@
 //
 // Run via scripts/bench.sh, which writes BENCH_cosim.json so the co-sim
 // throughput trajectory is tracked PR over PR.  The headline number is
-// lockstep steps/sec (steps_per_sec counter) on:
+// lockstep steps/sec (steps_per_sec counter); the single-run cases also
+// report per-run handoff work (packets_offered, copies_arrived,
+// deadline_misses) as non-rate counters.  The cases are:
 //
 //  * an ideal-budget run (windows drain in-step: measures the lockstep
 //    plumbing — deferred stepping, packet encode, window pump, flush),
@@ -68,6 +70,9 @@ void run_cosim(benchmark::State& state, const cosim::CoSimConfig& config) {
   const Mapped& m = mapped_workload();
   std::uint64_t steps = 0;
   double simulated_ms = 0.0;
+  std::uint64_t packets_offered = 0;
+  std::uint64_t copies_arrived = 0;
+  std::uint64_t deadline_misses = 0;
   for (auto _ : state) {
     snn::Network net = apps::build_synthetic_network(m.workload);
     cosim::CoSimulator sim(net, m.partition,
@@ -79,6 +84,9 @@ void run_cosim(benchmark::State& state, const cosim::CoSimConfig& config) {
     benchmark::DoNotOptimize(result.fidelity.copies_accepted);
     steps += result.fidelity.steps;
     simulated_ms += result.snn.duration_ms;
+    packets_offered += result.fidelity.packets_offered;
+    copies_arrived += result.fidelity.copies_arrived;
+    deadline_misses += result.fidelity.deadline_misses;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(steps));
   state.counters["steps_per_sec"] =
@@ -86,6 +94,14 @@ void run_cosim(benchmark::State& state, const cosim::CoSimConfig& config) {
                          benchmark::Counter::kIsRate);
   state.counters["sim_ms_per_sec"] =
       benchmark::Counter(simulated_ms, benchmark::Counter::kIsRate);
+  // Handoff work per run (deterministic, so a wall-time change can be told
+  // apart from a change in how much traffic the loop converts).
+  state.counters["packets_offered"] = benchmark::Counter(
+      static_cast<double>(packets_offered), benchmark::Counter::kAvgIterations);
+  state.counters["copies_arrived"] = benchmark::Counter(
+      static_cast<double>(copies_arrived), benchmark::Counter::kAvgIterations);
+  state.counters["deadline_misses"] = benchmark::Counter(
+      static_cast<double>(deadline_misses), benchmark::Counter::kAvgIterations);
 }
 
 void BM_CoSimulator_IdealBudget(benchmark::State& state) {

@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,12 +81,22 @@ void usage() {
          "  --verbose             info-level logging\n";
 }
 
-std::uint64_t parse_uint(const char* flag, const std::string& text) {
+/// Parses a decimal integer that fits `UInt`.  std::stoull alone would
+/// accept a sign or leading blanks (wrapping "-1" to the maximum), and a
+/// narrowing cast would then truncate values past the target's range.
+template <typename UInt>
+UInt parse_uint(const char* flag, const std::string& text) {
   try {
+    if (text.empty() || text[0] < '0' || text[0] > '9') {
+      throw std::invalid_argument("not a plain decimal");
+    }
     std::size_t pos = 0;
     const auto value = std::stoull(text, &pos);
     if (pos != text.size()) throw std::invalid_argument("trailing chars");
-    return value;
+    if (value > std::numeric_limits<UInt>::max()) {
+      throw std::out_of_range("exceeds the flag's range");
+    }
+    return static_cast<UInt>(value);
   } catch (const std::exception&) {
     std::cerr << "error: " << flag << " expects a non-negative integer, got '"
               << text << "'\n";
@@ -170,20 +182,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--partitioner") {
       partitioner_override = need_value("--partitioner");
     } else if (arg == "--crossbar-size") {
-      crossbar_size = static_cast<std::uint32_t>(
-          parse_uint("--crossbar-size", need_value("--crossbar-size")));
+      crossbar_size = parse_uint<std::uint32_t>(
+          "--crossbar-size", need_value("--crossbar-size"));
     } else if (arg == "--interconnect") {
       interconnect_override = need_value("--interconnect");
     } else if (arg == "--noc-engine") {
       noc_engine_override = need_value("--noc-engine");
     } else if (arg == "--chips") {
-      chips = static_cast<std::uint32_t>(
-          parse_uint("--chips", need_value("--chips")));
+      chips = parse_uint<std::uint32_t>("--chips", need_value("--chips"));
     } else if (arg == "--seed") {
-      seed = parse_uint("--seed", need_value("--seed"));
+      seed = parse_uint<std::uint64_t>("--seed", need_value("--seed"));
     } else if (arg == "--threads") {
-      threads = static_cast<std::uint32_t>(
-          parse_uint("--threads", need_value("--threads")));
+      threads =
+          parse_uint<std::uint32_t>("--threads", need_value("--threads"));
       threads_set = true;
     } else if (arg == "--csv") {
       csv_path = need_value("--csv");
@@ -192,14 +203,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--cosim") {
       cosim = true;
     } else if (arg == "--cosim-cycles") {
-      cosim_cycles = static_cast<std::uint32_t>(
-          parse_uint("--cosim-cycles", need_value("--cosim-cycles")));
+      cosim_cycles = parse_uint<std::uint32_t>(
+          "--cosim-cycles", need_value("--cosim-cycles"));
       cosim = true;
     } else if (arg == "--faults") {
       faults = true;
       cosim = true;
     } else if (arg == "--fault-seed") {
-      fault_seed = parse_uint("--fault-seed", need_value("--fault-seed"));
+      fault_seed = parse_uint<std::uint64_t>("--fault-seed",
+                                             need_value("--fault-seed"));
       fault_seed_set = true;
       faults = true;
       cosim = true;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 
 #include "util/hash.hpp"
@@ -56,10 +55,6 @@ CoSimConfig with_lockstep_noc(CoSimConfig config) {
     }
   }
   return config;
-}
-
-std::uint64_t key_of(std::uint32_t source, noc::TileId tile) noexcept {
-  return (static_cast<std::uint64_t>(source) << 32) | tile;
 }
 
 }  // namespace
@@ -200,54 +195,87 @@ CoSimulator::CoSimulator(snn::Network& network,
 }
 
 void CoSimulator::rebuild_mapping() {
-  // Cut mask + per-neuron transport tables, all in the Network's fan-out
-  // order so flush verdicts align with the engine's enumeration.
+  // Cut mask + per-neuron transport tables.  Each neuron's cut records are
+  // walked once to collect its distinct destination tiles; the sorted tiles
+  // number its pairs, and a counting pass by pair scatters the records into
+  // pair-grouped order (stable, so CSR order holds within a pair).  Linear
+  // in the records plus a sort of each neuron's distinct tiles.
   const std::uint32_t n = network_->neuron_count();
   const auto& part = partition_.assignment();
   const auto& synapses = network_->synapses();
   const auto& offsets = network_->fanout_offsets();
   const auto& order = network_->fanout_synapses();
   std::vector<std::uint8_t> cut(synapses.size(), 0);
+  std::uint32_t cut_total = 0;
   for (std::size_t s = 0; s < synapses.size(); ++s) {
     cut[s] = part[synapses[s].pre] != part[synapses[s].post] ? 1 : 0;
+    cut_total += cut[s];
   }
 
   source_tile_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     source_tile_[i] = placement_[part[i]];
   }
-  remote_tile_.clear();
-  remote_post_.clear();
-  remote_weight_.clear();
-  remote_delay_.clear();
   dest_tiles_.clear();
-  remote_offsets_.assign(n + 1, 0);
+  remote_pair_.resize(cut_total);
+  pair_records_.resize(cut_total);
   dest_offsets_.assign(n + 1, 0);
-  std::vector<noc::TileId> tiles_scratch;
+  pair_offsets_.assign(1, 0);
+  std::vector<std::uint32_t> tile_pair(noc_.topology().tile_count(),
+                                       kNoPair);
+  std::vector<std::uint32_t> cut_scratch;  // this neuron's cut synapses
+  std::vector<std::uint32_t> cursor;       // per-pair scatter position
+  std::uint32_t rb = 0;                    // this neuron's first record
   for (std::uint32_t i = 0; i < n; ++i) {
-    tiles_scratch.clear();
+    const auto pb = static_cast<std::uint32_t>(dest_tiles_.size());
+    cut_scratch.clear();
     for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-      const snn::Synapse& syn = synapses[order[k]];
       if (!cut[order[k]]) continue;
-      const noc::TileId tile = placement_[part[syn.post]];
-      remote_tile_.push_back(tile);
-      remote_post_.push_back(syn.post);
-      remote_weight_.push_back(syn.weight);
-      remote_delay_.push_back(syn.delay_steps);
-      tiles_scratch.push_back(tile);
+      const noc::TileId tile = placement_[part[synapses[order[k]].post]];
+      if (tile_pair[tile] == kNoPair) {
+        tile_pair[tile] = 0;  // seen; numbered once the tiles are sorted
+        dest_tiles_.push_back(tile);
+      }
+      cut_scratch.push_back(order[k]);
     }
-    remote_offsets_[i + 1] =
-        static_cast<std::uint32_t>(remote_tile_.size());
-    std::sort(tiles_scratch.begin(), tiles_scratch.end());
-    tiles_scratch.erase(
-        std::unique(tiles_scratch.begin(), tiles_scratch.end()),
-        tiles_scratch.end());
-    dest_tiles_.insert(dest_tiles_.end(), tiles_scratch.begin(),
-                       tiles_scratch.end());
-    dest_offsets_[i + 1] = static_cast<std::uint32_t>(dest_tiles_.size());
+    std::sort(dest_tiles_.begin() + pb, dest_tiles_.end());
+    const auto pe = static_cast<std::uint32_t>(dest_tiles_.size());
+    for (std::uint32_t p = pb; p < pe; ++p) tile_pair[dest_tiles_[p]] = p;
+
+    const auto re = rb + static_cast<std::uint32_t>(cut_scratch.size());
+    cursor.assign(pe - pb, 0);
+    for (std::uint32_t r = rb; r < re; ++r) {
+      const snn::NeuronId post = synapses[cut_scratch[r - rb]].post;
+      remote_pair_[r] = tile_pair[placement_[part[post]]];
+      ++cursor[remote_pair_[r] - pb];
+    }
+    for (std::uint32_t p = pb; p < pe; ++p) {
+      const std::uint32_t begin = pair_offsets_.back();
+      pair_offsets_.push_back(begin + cursor[p - pb]);
+      cursor[p - pb] = begin;
+    }
+    for (std::uint32_t r = rb; r < re; ++r) {
+      const snn::Synapse& syn = synapses[cut_scratch[r - rb]];
+      pair_records_[cursor[remote_pair_[r] - pb]++] = {syn.post, syn.weight,
+                                                       syn.delay_steps};
+    }
+    for (std::uint32_t p = pb; p < pe; ++p) tile_pair[dest_tiles_[p]] = kNoPair;
+    dest_offsets_[i + 1] = pe;
+    rb = re;
   }
+  landed_.assign(dest_tiles_.size(), 0);
 
   sim_.cut_remote_synapses(cut);
+}
+
+std::uint32_t CoSimulator::pair_of(snn::NeuronId source,
+                                   noc::TileId tile) const {
+  const auto first = dest_tiles_.begin() + dest_offsets_[source];
+  const auto last = dest_tiles_.begin() + dest_offsets_[source + 1];
+  const auto it = std::lower_bound(first, last, tile);
+  return it != last && *it == tile
+             ? static_cast<std::uint32_t>(it - dest_tiles_.begin())
+             : kNoPair;
 }
 
 CoSimResult CoSimulator::run() {
@@ -286,9 +314,6 @@ CoSimResult CoSimulator::run() {
   std::vector<std::uint64_t> emit_counter(source_tile_.size(), 0);
   std::vector<std::uint32_t> window_accepts(noc_.topology().tile_count(), 0);
   std::vector<noc::TileId> touched_tiles;
-  // snnmap-lint: allow(unordered-iteration) -- membership-only (insert /
-  // count / clear) per-window dedup; never iterated, order cannot leak.
-  std::unordered_set<std::uint64_t> in_window;  // (source, tile) delivered
   std::vector<snn::Simulator::RemoteVerdict> verdicts;
   std::vector<noc::SpikePacketEvent> window_traffic;
   bool warned_halt = false;
@@ -431,7 +456,6 @@ CoSimResult CoSimulator::run() {
     //    effective synaptic delay by the windows they spent in flight.
     for (const noc::TileId tile : touched_tiles) window_accepts[tile] = 0;
     touched_tiles.clear();
-    in_window.clear();
     const auto delivered = noc_.drain_delivered();
     for (const noc::DeliveredSpike& d : delivered) {
       const std::uint64_t transit = d.recv_cycle - d.emit_cycle;
@@ -455,7 +479,9 @@ CoSimResult CoSimulator::run() {
       }
       ++fid.copies_accepted;
       if (d.emit_step == t) {
-        in_window.insert(key_of(d.source_neuron, d.dest_tile));
+        // Emitted this step, so the mapping the copy was routed under is
+        // still live and its pair exists.
+        landed_[pair_of(d.source_neuron, d.dest_tile)] = 1;
       } else {
         ++fid.deadline_misses;
         ++fid.per_step_misses[d.emit_step];
@@ -478,17 +504,17 @@ CoSimResult CoSimulator::run() {
             apply = false;
           }
         }
-        if (apply) {
-          // Late arrival: apply this packet's fan-out records on the
-          // destination crossbar with local synaptic timing from *now*.
-          const std::uint32_t rb = remote_offsets_[d.source_neuron];
-          const std::uint32_t re = remote_offsets_[d.source_neuron + 1];
-          for (std::uint32_t r = rb; r < re; ++r) {
-            if (remote_tile_[r] != d.dest_tile) continue;
-            sim_.inject_remote(remote_post_[r],
-                               static_cast<double>(remote_weight_[r]),
-                               remote_delay_[r]);
-          }
+        if (!apply) continue;
+        // Late arrival: apply this copy's fan-out records on the
+        // destination crossbar with local synaptic timing from *now*.  A
+        // remap since emission may have left the pair without records.
+        const std::uint32_t k = pair_of(d.source_neuron, d.dest_tile);
+        if (k == kNoPair) continue;
+        for (std::uint32_t r = pair_offsets_[k]; r < pair_offsets_[k + 1];
+             ++r) {
+          const Record& rec = pair_records_[r];
+          sim_.inject_remote(rec.post, static_cast<double>(rec.weight),
+                             rec.delay);
         }
       }
     }
@@ -498,13 +524,12 @@ CoSimResult CoSimulator::run() {
     verdicts.clear();
     verdicts.reserve(sim_.deferred_remote_records());
     for (const snn::NeuronId i : spikes) {
-      const std::uint32_t rb = remote_offsets_[i];
-      const std::uint32_t re = remote_offsets_[i + 1];
+      const std::uint32_t rb = pair_offsets_[dest_offsets_[i]];
+      const std::uint32_t re = pair_offsets_[dest_offsets_[i + 1]];
       for (std::uint32_t r = rb; r < re; ++r) {
-        verdicts.push_back(
-            in_window.count(key_of(i, remote_tile_[r])) != 0
-                ? snn::Simulator::RemoteVerdict::kDeliver
-                : snn::Simulator::RemoteVerdict::kWithhold);
+        verdicts.push_back(landed_[remote_pair_[r]] != 0
+                               ? snn::Simulator::RemoteVerdict::kDeliver
+                               : snn::Simulator::RemoteVerdict::kWithhold);
       }
     }
     sim_.flush_deferred(verdicts);
@@ -526,10 +551,9 @@ CoSimResult CoSimulator::run() {
         const std::uint32_t db = dest_offsets_[i];
         const std::uint32_t de = dest_offsets_[i + 1];
         for (std::uint32_t k = db; k < de; ++k) {
-          const noc::TileId tile = dest_tiles_[k];
-          if (in_window.count(key_of(i, tile)) != 0) continue;
+          if (landed_[k] != 0) continue;
           pending.emplace(
-              RetryKey{i, t, tile},
+              RetryKey{i, t, dest_tiles_[k]},
               RetryState{0, t + retry.backoff_windows,
                          t + retry.timeout_windows});
         }
@@ -581,6 +605,13 @@ CoSimResult CoSimulator::run() {
           retrans_traffic.clear();
         }
       }
+    }
+
+    // Only this step's spikes can have landed pairs; clear them before a
+    // remap renumbers the pairs.
+    for (const snn::NeuronId i : spikes) {
+      std::fill(landed_.begin() + dest_offsets_[i],
+                landed_.begin() + dest_offsets_[i + 1], std::uint8_t{0});
     }
 
     // 8. Remap-on-failure: a tile (crossbar) that died this window gets

@@ -234,16 +234,38 @@ class CoSimulator {
   std::vector<snn::GraphEdge> graph_edges_;      // cached for remap traffic
   std::optional<core::RuntimeRemapper> remapper_;
 
-  // Per-neuron mapping tables, all in the Network's fan-out (CSR) order so
-  // the verdict stream aligns with the engine's cut-record enumeration.
-  std::vector<noc::TileId> source_tile_;     // neuron -> home tile
-  std::vector<std::uint32_t> remote_offsets_;  // neuron -> cut-record range
-  std::vector<noc::TileId> remote_tile_;       // per cut record
-  std::vector<snn::NeuronId> remote_post_;
-  std::vector<float> remote_weight_;
-  std::vector<std::uint16_t> remote_delay_;
-  std::vector<std::uint32_t> dest_offsets_;  // neuron -> distinct dest tiles
-  std::vector<noc::TileId> dest_tiles_;      // sorted per neuron
+  static constexpr std::uint32_t kNoPair = static_cast<std::uint32_t>(-1);
+
+  /// One cut record as a late copy injects it.
+  struct Record {
+    snn::NeuronId post;
+    float weight;
+    std::uint16_t delay;
+  };
+
+  /// Pair index of (source, tile), or kNoPair when the source's cut records
+  /// do not reach `tile` under the live mapping.
+  std::uint32_t pair_of(snn::NeuronId source, noc::TileId tile) const;
+
+  // Transport tables.  A "pair" is one (source neuron, destination tile)
+  // that the neuron's cut records reach — exactly one packet copy per
+  // spike.  Pairs are numbered neuron by neuron, tiles ascending.  A
+  // neuron's cut records occupy one global range in both record orders:
+  // [pair_offsets_[dest_offsets_[i]], pair_offsets_[dest_offsets_[i + 1]]).
+  std::vector<noc::TileId> source_tile_;      // neuron -> home tile
+  std::vector<std::uint32_t> dest_offsets_;   // neuron -> pair range
+  std::vector<noc::TileId> dest_tiles_;       // pair -> destination tile
+  /// Cut record in the Network's fan-out (CSR) order -> its pair, so the
+  /// verdict stream aligns with the engine's cut-record enumeration.
+  std::vector<std::uint32_t> remote_pair_;
+  /// Pair -> range of `pair_records_`, which holds each pair's records in
+  /// CSR order: a late copy injects its own pair's records in the order
+  /// (and FP addition order) the engine would.
+  std::vector<std::uint32_t> pair_offsets_;
+  std::vector<Record> pair_records_;
+  /// Pair -> 1 when its copy of this step's spike landed in-window; set
+  /// while draining deliveries, cleared over the step's spikes' pairs.
+  std::vector<std::uint8_t> landed_;
 };
 
 }  // namespace snnmap::cosim

@@ -294,6 +294,49 @@ TEST(CoSimulator, PurelyLocalMappingShipsNothing) {
   EXPECT_EQ(result.snn.spikes, ideal.spikes);
 }
 
+TEST(CoSimulator, LateCopyInjectsOnlyItsTilesRecordsInFanOutOrder) {
+  // One Poisson source on tile 0 whose cut records interleave tile A = 1
+  // (a0, a1) and tile B = 2 (b0, b1), A, B, A, B, A, A in fan-out order, on
+  // a line 0 - 1 - 2.  A one-cycle window makes every copy late, so each
+  // copy's records reach the engine only through inject_remote.
+  snn::Network net;
+  net.add_poisson_group("src", 1, 150.0);
+  net.add_lif_group("a", 2);  // neurons 1, 2
+  net.add_lif_group("b", 2);  // neurons 3, 4
+  // a0's three records sum to 60 only in fan-out order: +1e18 then -1e18
+  // cancel exactly and the 60 survives; 60 added next to +1e18 is lost to
+  // rounding, so any other order except swapping the two large weights
+  // leaves a0 silent.
+  net.add_synapse(0, 1, 1e18);
+  net.add_synapse(0, 3, 60.0);
+  net.add_synapse(0, 1, -1e18);
+  net.add_synapse(0, 4, 60.0);
+  net.add_synapse(0, 1, 60.0);
+  net.add_synapse(0, 2, 60.0);
+  core::Partition partition(net.neuron_count(), 3);
+  partition.assign(0, 0);
+  partition.assign(1, 1);
+  partition.assign(2, 1);
+  partition.assign(3, 2);
+  partition.assign(4, 2);
+  noc::Topology topology = noc::Topology::mesh(3, 1);
+  const auto placement = core::identity_placement(3, topology);
+  CoSimulator sim(net, partition, placement, std::move(topology),
+                  base_config(100.0, /*cpt=*/1));
+  const CoSimResult result = sim.run();
+
+  ASSERT_GT(result.fidelity.copies_accepted, 0u);
+  EXPECT_EQ(result.fidelity.deadline_misses, result.fidelity.copies_accepted);
+  const auto& spikes = result.snn.spikes;
+  ASSERT_FALSE(spikes[2].empty());
+  ASSERT_FALSE(spikes[3].empty());
+  // A's copy carries exactly A's records, summed in fan-out order...
+  EXPECT_EQ(spikes[1], spikes[2]);
+  // ...and B's copy exactly B's, arriving later over the extra hop.
+  EXPECT_EQ(spikes[3], spikes[4]);
+  EXPECT_LT(spikes[2].front(), spikes[3].front());
+}
+
 TEST(SpikeDivergence, CountsAndFraction) {
   const std::vector<snn::SpikeTrain> a = {{1.0, 2.0, 3.0}, {}, {5.0}};
   const std::vector<snn::SpikeTrain> b = {{1.0, 2.5, 3.0}, {4.0}, {5.0}};
