@@ -12,8 +12,9 @@
 //  * mode=1 — tracing on (64Ki ring): every inject/hop/park/deliver pays a
 //    record() — three FNV-1a mixes plus a ring push.  events_per_sec makes
 //    the tracer's own throughput visible next to the cycle loop's.
-//  * mode=2 — tracing + congestion monitor + per-window histograms: the
-//    full observability stack as snnmap_cli --trace --monitor runs it.
+//  * mode=2 — tracing + congestion monitor (per-link EWMA fed at each
+//    window close): the full observability stack as snnmap_cli --trace
+//    --monitor runs it.
 //
 // trace_recorded per iteration is exported so a throughput change can be
 // told apart from a workload/event-count change.

@@ -48,7 +48,8 @@ void usage() {
          "(boundary links pay off-chip energy/latency)\n"
          "  --noc-engine KIND     cycle | event (default event) — NoC "
          "scheduling core; bit-identical results, event skips idle spans\n"
-         "  --seed S              workload + optimizer seed\n"
+         "  --seed S              workload + optimizer seed (default: "
+         "the config's flow.seed, 42)\n"
          "  --threads N           fitness-evaluation workers (0 = all "
          "cores, 1 = serial; same result either way)\n"
          "  --csv FILE            also write the report row as CSV\n"
@@ -73,7 +74,7 @@ void usage() {
          "  --monitor             enable the per-link congestion monitor "
          "and report persistently hot links (implies --cosim)\n"
          "  --stats-json FILE     dump run statistics as JSON (NoC stats; "
-         "plus fidelity / resilience / metrics under --cosim)\n"
+         "plus fidelity / resilience / trace counts under --cosim)\n"
          "  --analyze             print per-crossbar load / traffic "
          "analysis\n"
          "  --dump-config         print the effective configuration and "
@@ -137,7 +138,8 @@ int main(int argc, char** argv) {
 
   util::Config file_config;
   std::string csv_path;
-  std::uint64_t seed = 42;
+  std::uint64_t seed = 0;
+  bool seed_set = false;  // unset = keep the config's flow.seed
   std::uint32_t threads = 0;
   bool threads_set = false;
   std::uint32_t crossbar_size = 0;
@@ -192,6 +194,7 @@ int main(int argc, char** argv) {
       chips = parse_uint<std::uint32_t>("--chips", need_value("--chips"));
     } else if (arg == "--seed") {
       seed = parse_uint<std::uint64_t>("--seed", need_value("--seed"));
+      seed_set = true;
     } else if (arg == "--threads") {
       threads =
           parse_uint<std::uint32_t>("--threads", need_value("--threads"));
@@ -265,7 +268,7 @@ int main(int argc, char** argv) {
 
   try {
     core::MappingFlowConfig flow = core::mapping_flow_from_config(file_config);
-    flow.seed = seed;
+    if (seed_set) flow.seed = seed;
     if (threads_set) {
       flow.pso.threads = threads;
       flow.genetic.threads = threads;
@@ -299,9 +302,9 @@ int main(int argc, char** argv) {
 
     // Progress goes to stderr so `--dump-config` (and `--csv -`-style uses)
     // leave stdout machine-readable.
-    std::cerr << "building workload '" << app << "' (seed " << seed
+    std::cerr << "building workload '" << app << "' (seed " << flow.seed
               << ")...\n";
-    const snn::SnnGraph graph = apps::build_app(app, seed);
+    const snn::SnnGraph graph = apps::build_app(app, flow.seed);
     if (crossbar_size != 0 || !flow.arch.fits(graph.neuron_count())) {
       const std::uint32_t size =
           crossbar_size != 0
@@ -367,7 +370,7 @@ int main(int argc, char** argv) {
       // Closed-loop co-simulation of the mapping just produced: the same
       // network, with cross-crossbar synapses carried by the cycle-level
       // NoC, compared against the same-seed ideal-interconnect run.
-      apps::AppNetwork app_net = apps::build_app_network(app, seed);
+      apps::AppNetwork app_net = apps::build_app_network(app, flow.seed);
       cosim::CoSimConfig cc;
       cc.snn = app_net.sim;
       cc.noc = flow.noc;
@@ -579,9 +582,9 @@ int main(int argc, char** argv) {
         obs::write_json(out, cs.fidelity);
         out << ",\"resilience\":";
         obs::write_json(out, cs.resilience);
-        out << ",\"metrics\":";
-        obs::write_json(out, cs.metrics);
-        out << "}\n";
+        out << ",\"trace\":{\"recorded\":" << cs.trace_recorded
+            << ",\"retained\":" << cs.trace.size()
+            << ",\"digest\":" << cs.trace_digest << "}}\n";
         std::cout << "wrote " << stats_json_path << '\n';
         stats_json_path.clear();  // the open-loop dump below is superseded
       }

@@ -23,32 +23,29 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   MappingFlowConfig flow;
 
   // -- architecture
-  flow.arch.crossbar_count = static_cast<std::uint32_t>(
-      config.int_or("arch.crossbars", flow.arch.crossbar_count));
-  flow.arch.neurons_per_crossbar = static_cast<std::uint32_t>(
-      config.int_or("arch.neurons_per_crossbar",
-                    flow.arch.neurons_per_crossbar));
+  flow.arch.crossbar_count = config.uint_or(
+      "arch.crossbars", flow.arch.crossbar_count);
+  flow.arch.neurons_per_crossbar = config.uint_or(
+      "arch.neurons_per_crossbar", flow.arch.neurons_per_crossbar);
   if (const auto kind = config.get_string("arch.interconnect")) {
     flow.arch.interconnect = hw::interconnect_from_string(*kind);
   }
-  flow.arch.tree_arity = static_cast<std::uint32_t>(
-      config.int_or("arch.tree_arity", flow.arch.tree_arity));
-  flow.arch.dragonfly_arity = static_cast<std::uint32_t>(
-      config.int_or("arch.dragonfly_arity", flow.arch.dragonfly_arity));
-  flow.arch.dragonfly_groups = static_cast<std::uint32_t>(
-      config.int_or("arch.dragonfly_groups", flow.arch.dragonfly_groups));
-  flow.arch.dragonfly_global = static_cast<std::uint32_t>(
-      config.int_or("arch.dragonfly_global", flow.arch.dragonfly_global));
-  flow.arch.fattree_k = static_cast<std::uint32_t>(
-      config.int_or("arch.fattree_k", flow.arch.fattree_k));
-  flow.arch.chip_count = static_cast<std::uint32_t>(
-      config.int_or("arch.chips", flow.arch.chip_count));
-  flow.arch.cycles_per_ms = static_cast<std::uint32_t>(
-      config.int_or("arch.cycles_per_ms", flow.arch.cycles_per_ms));
+  flow.arch.tree_arity = config.uint_or(
+      "arch.tree_arity", flow.arch.tree_arity);
+  flow.arch.dragonfly_arity = config.uint_or(
+      "arch.dragonfly_arity", flow.arch.dragonfly_arity);
+  flow.arch.dragonfly_groups = config.uint_or(
+      "arch.dragonfly_groups", flow.arch.dragonfly_groups);
+  flow.arch.dragonfly_global = config.uint_or(
+      "arch.dragonfly_global", flow.arch.dragonfly_global);
+  flow.arch.fattree_k = config.uint_or("arch.fattree_k", flow.arch.fattree_k);
+  flow.arch.chip_count = config.uint_or("arch.chips", flow.arch.chip_count);
+  flow.arch.cycles_per_ms = config.uint_or(
+      "arch.cycles_per_ms", flow.arch.cycles_per_ms);
 
   // -- NoC
-  flow.noc.buffer_depth = static_cast<std::uint32_t>(
-      config.int_or("noc.buffer_depth", flow.noc.buffer_depth));
+  flow.noc.buffer_depth = config.uint_or(
+      "noc.buffer_depth", flow.noc.buffer_depth);
   flow.noc.multicast = config.bool_or("noc.multicast", flow.noc.multicast);
   if (const auto selection = config.get_string("noc.selection")) {
     if (*selection == "first-candidate") {
@@ -66,19 +63,15 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   if (const auto engine = config.get_string("noc.engine")) {
     flow.noc.engine = noc::noc_engine_from_string(*engine);
   }
-  flow.noc.max_cycles = static_cast<std::uint64_t>(
-      config.int_or("noc.max_cycles",
-                    static_cast<std::int64_t>(flow.noc.max_cycles)));
+  flow.noc.max_cycles = config.uint_or("noc.max_cycles", flow.noc.max_cycles);
   flow.noc.collect_delivered = config.bool_or("noc.collect_delivered",
                                               flow.noc.collect_delivered);
-  flow.noc.offchip_link_latency = static_cast<std::uint32_t>(
-      config.int_or("noc.offchip_link_latency",
-                    flow.noc.offchip_link_latency));
+  flow.noc.offchip_link_latency = config.uint_or(
+      "noc.offchip_link_latency", flow.noc.offchip_link_latency);
 
   // -- fault injection (all-zero defaults = inert model)
   noc::FaultConfig& faults = flow.noc.faults;
-  faults.seed = static_cast<std::uint64_t>(
-      config.int_or("faults.seed", static_cast<std::int64_t>(faults.seed)));
+  faults.seed = config.uint_or("faults.seed", faults.seed);
   faults.link_fault_rate =
       config.double_or("faults.link_fault_rate", faults.link_fault_rate);
   faults.router_fault_rate =
@@ -87,40 +80,34 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
       config.double_or("faults.tile_fault_rate", faults.tile_fault_rate);
   faults.transient_link_rate = config.double_or("faults.transient_link_rate",
                                                 faults.transient_link_rate);
-  faults.transient_duration_cycles = static_cast<std::uint64_t>(
-      config.int_or("faults.transient_duration_cycles",
-                    static_cast<std::int64_t>(
-                        faults.transient_duration_cycles)));
+  faults.transient_duration_cycles = config.uint_or(
+      "faults.transient_duration_cycles", faults.transient_duration_cycles);
   faults.flit_drop_probability = config.double_or(
       "faults.flit_drop_probability", faults.flit_drop_probability);
-  faults.horizon_cycles = static_cast<std::uint64_t>(
-      config.int_or("faults.horizon_cycles",
-                    static_cast<std::int64_t>(faults.horizon_cycles)));
+  faults.horizon_cycles = config.uint_or(
+      "faults.horizon_cycles", faults.horizon_cycles);
 
   // -- observability (tracing + congestion monitor; defaults are inert)
   obs::TraceConfig& trace = flow.noc.trace;
   trace.enabled = config.bool_or("trace.enabled", trace.enabled);
-  trace.ring_capacity = static_cast<std::uint32_t>(
-      config.int_or("trace.ring_capacity", trace.ring_capacity));
+  trace.ring_capacity = config.uint_or(
+      "trace.ring_capacity", trace.ring_capacity);
   obs::MonitorConfig& monitor = flow.noc.monitor;
   monitor.enabled = config.bool_or("monitor.enabled", monitor.enabled);
   monitor.ewma_alpha =
       config.double_or("monitor.ewma_alpha", monitor.ewma_alpha);
   monitor.hot_occupancy =
       config.double_or("monitor.hot_occupancy", monitor.hot_occupancy);
-  monitor.persistence_windows = static_cast<std::uint32_t>(
-      config.int_or("monitor.persistence_windows",
-                    monitor.persistence_windows));
+  monitor.persistence_windows = config.uint_or(
+      "monitor.persistence_windows", monitor.persistence_windows);
 
   // -- energy (single source of truth: the NoC config's model, which the
   //    cost model and simulators all reference)
   flow.noc.energy = hw::EnergyModel::from_config(config);
 
   // -- PSO
-  flow.pso.swarm_size = static_cast<std::uint32_t>(
-      config.int_or("pso.swarm_size", flow.pso.swarm_size));
-  flow.pso.iterations = static_cast<std::uint32_t>(
-      config.int_or("pso.iterations", flow.pso.iterations));
+  flow.pso.swarm_size = config.uint_or("pso.swarm_size", flow.pso.swarm_size);
+  flow.pso.iterations = config.uint_or("pso.iterations", flow.pso.iterations);
   flow.pso.inertia = config.double_or("pso.inertia", flow.pso.inertia);
   flow.pso.phi1 = config.double_or("pso.phi1", flow.pso.phi1);
   flow.pso.phi2 = config.double_or("pso.phi2", flow.pso.phi2);
@@ -130,34 +117,32 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   if (const auto objective = config.get_string("pso.objective")) {
     flow.pso.objective = objective_from_string(*objective);
   }
-  flow.pso.refine_sweeps = static_cast<std::uint32_t>(
-      config.int_or("pso.refine_sweeps", flow.pso.refine_sweeps));
-  flow.pso.refine_swap_factor = static_cast<std::uint32_t>(
-      config.int_or("pso.refine_swap_factor", flow.pso.refine_swap_factor));
-  flow.pso.patience = static_cast<std::uint32_t>(
-      config.int_or("pso.patience", flow.pso.patience));
-  flow.pso.threads = static_cast<std::uint32_t>(
-      config.int_or("pso.threads", flow.pso.threads));
+  flow.pso.refine_sweeps = config.uint_or(
+      "pso.refine_sweeps", flow.pso.refine_sweeps);
+  flow.pso.refine_swap_factor = config.uint_or(
+      "pso.refine_swap_factor", flow.pso.refine_swap_factor);
+  flow.pso.patience = config.uint_or("pso.patience", flow.pso.patience);
+  flow.pso.threads = config.uint_or("pso.threads", flow.pso.threads);
 
   // -- annealing / genetic (ablation partitioners)
-  flow.annealing.moves = static_cast<std::uint64_t>(config.int_or(
-      "annealing.moves", static_cast<std::int64_t>(flow.annealing.moves)));
+  flow.annealing.moves = config.uint_or(
+      "annealing.moves", flow.annealing.moves);
   flow.annealing.cooling =
       config.double_or("annealing.cooling", flow.annealing.cooling);
   flow.annealing.swap_probability = config.double_or(
       "annealing.swap_probability", flow.annealing.swap_probability);
-  flow.annealing.restarts = static_cast<std::uint32_t>(
-      config.int_or("annealing.restarts", flow.annealing.restarts));
-  flow.annealing.threads = static_cast<std::uint32_t>(
-      config.int_or("annealing.threads", flow.annealing.threads));
-  flow.genetic.population = static_cast<std::uint32_t>(
-      config.int_or("genetic.population", flow.genetic.population));
-  flow.genetic.generations = static_cast<std::uint32_t>(
-      config.int_or("genetic.generations", flow.genetic.generations));
+  flow.annealing.restarts = config.uint_or(
+      "annealing.restarts", flow.annealing.restarts);
+  flow.annealing.threads = config.uint_or(
+      "annealing.threads", flow.annealing.threads);
+  flow.genetic.population = config.uint_or(
+      "genetic.population", flow.genetic.population);
+  flow.genetic.generations = config.uint_or(
+      "genetic.generations", flow.genetic.generations);
   flow.genetic.mutation_rate =
       config.double_or("genetic.mutation_rate", flow.genetic.mutation_rate);
-  flow.genetic.threads = static_cast<std::uint32_t>(
-      config.int_or("genetic.threads", flow.genetic.threads));
+  flow.genetic.threads = config.uint_or(
+      "genetic.threads", flow.genetic.threads);
 
   // -- flow-level switches
   if (const auto partitioner = config.get_string("flow.partitioner")) {
@@ -165,27 +150,22 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   }
   flow.comm_aware_placement = config.bool_or("flow.comm_aware_placement",
                                              flow.comm_aware_placement);
-  flow.injection_jitter_cycles = static_cast<std::uint32_t>(
-      config.int_or("flow.injection_jitter_cycles",
-                    flow.injection_jitter_cycles));
-  flow.seed = static_cast<std::uint64_t>(
-      config.int_or("flow.seed", static_cast<std::int64_t>(flow.seed)));
+  flow.injection_jitter_cycles = config.uint_or(
+      "flow.injection_jitter_cycles", flow.injection_jitter_cycles);
+  flow.seed = config.uint_or("flow.seed", flow.seed);
   return flow;
 }
 
 cosim::CoSimConfig cosim_from_config(const util::Config& config,
                                      cosim::CoSimConfig base) {
-  base.cycles_per_timestep = static_cast<std::uint32_t>(
-      config.int_or("cosim.cycles_per_timestep",
-                    base.cycles_per_timestep));
+  base.cycles_per_timestep = config.uint_or(
+      "cosim.cycles_per_timestep", base.cycles_per_timestep);
   // "unbounded" (the default) serializes as the sentinel; any positive
   // depth bounds the queue and 0 is rejected by the CoSimulator.
-  base.receive_queue_depth = static_cast<std::uint32_t>(
-      config.int_or("cosim.receive_queue_depth",
-                    base.receive_queue_depth));
-  base.injection_jitter_cycles = static_cast<std::uint32_t>(
-      config.int_or("cosim.injection_jitter_cycles",
-                    base.injection_jitter_cycles));
+  base.receive_queue_depth = config.uint_or(
+      "cosim.receive_queue_depth", base.receive_queue_depth);
+  base.injection_jitter_cycles = config.uint_or(
+      "cosim.injection_jitter_cycles", base.injection_jitter_cycles);
   // -- DVFS fabric scaling
   if (const auto policy = config.get_string("dvfs.policy")) {
     base.dvfs.kind = cosim::dvfs_policy_from_string(*policy);
@@ -200,12 +180,12 @@ cosim::CoSimConfig cosim_from_config(const util::Config& config,
       config.double_or("dvfs.slack_fraction", base.dvfs.slack_fraction);
   // -- AER retry protocol
   base.retry.enabled = config.bool_or("retry.enabled", base.retry.enabled);
-  base.retry.max_retries = static_cast<std::uint32_t>(
-      config.int_or("retry.max_retries", base.retry.max_retries));
-  base.retry.backoff_windows = static_cast<std::uint32_t>(
-      config.int_or("retry.backoff_windows", base.retry.backoff_windows));
-  base.retry.timeout_windows = static_cast<std::uint32_t>(
-      config.int_or("retry.timeout_windows", base.retry.timeout_windows));
+  base.retry.max_retries = config.uint_or(
+      "retry.max_retries", base.retry.max_retries);
+  base.retry.backoff_windows = config.uint_or(
+      "retry.backoff_windows", base.retry.backoff_windows);
+  base.retry.timeout_windows = config.uint_or(
+      "retry.timeout_windows", base.retry.timeout_windows);
   return base;
 }
 

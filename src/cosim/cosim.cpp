@@ -447,6 +447,9 @@ CoSimResult CoSimulator::run() {
     fid.per_step_cycles[t] = window_cycles;
     fid.window_energy_pj.add(step_energy);
     fid.freq_scale.add(realized);
+    fid.window_busy_cycles.add(static_cast<double>(sample.busy_cycles));
+    fid.window_peak_link_flits.add(
+        static_cast<double>(sample.peak_link_flits));
     const std::uint64_t pressure_before =
         fid.deadline_misses + fid.receive_drops;
 
@@ -671,7 +674,6 @@ CoSimResult CoSimulator::run() {
   out.trace = std::move(nr.trace);
   out.trace_digest = nr.trace_digest;
   out.trace_recorded = nr.trace_recorded;
-  out.metrics = std::move(nr.metrics);
   resil.noc_faults = out.noc.fault;
   return out;
 }

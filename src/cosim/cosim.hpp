@@ -181,7 +181,6 @@ struct CoSimResult {
   std::vector<obs::TraceEvent> trace;
   std::uint64_t trace_digest = 0;
   std::uint64_t trace_recorded = 0;
-  obs::MetricsSnapshot metrics;
 };
 
 /// One closed-loop co-simulation instance over a mapped network.

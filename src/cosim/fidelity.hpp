@@ -55,6 +55,11 @@ struct FidelityReport {
   std::vector<std::uint32_t> per_step_cycles;
   util::Accumulator window_energy_pj;  ///< over per_step_energy_pj samples
   util::Accumulator freq_scale;        ///< realized per-window f/f_nominal
+  /// Cycles the fabric simulated in each window (idle spans fast-forward
+  /// past); the sum is the session's busy-cycle total.
+  util::Accumulator window_busy_cycles;
+  /// Flits on the window's busiest link (the per-window hotspot peak).
+  util::Accumulator window_peak_link_flits;
   util::Histogram energy_hist{0.0, 1.0, 1};  ///< per-window energy, rebuilt
 
   /// Per-link congestion summary over the lockstep windows (one monitor

@@ -120,29 +120,6 @@ NocSimulator::NocSimulator(Topology topology, NocConfig config)
   for (TileId t = 0; t < topology_.tile_count(); ++t) {
     tile_router_[t] = topology_.router_of_tile(t);
   }
-  // Observability instruments are registered once; begin() only zeroes
-  // their values.  Names follow the dotted-lowercase convention (README
-  // "Observability").
-  mid_.packets = metrics_.counter("noc.packets_injected");
-  mid_.flits = metrics_.counter("noc.flits_injected");
-  mid_.delivered = metrics_.counter("noc.copies_delivered");
-  mid_.link_hops = metrics_.counter("noc.link_hops");
-  mid_.offchip = metrics_.counter("noc.offchip_link_hops");
-  mid_.router_traversals = metrics_.counter("noc.router_traversals");
-  mid_.busy = metrics_.counter("noc.busy_cycles");
-  mid_.reroutes = metrics_.counter("noc.fault.reroutes");
-  mid_.flits_dropped = metrics_.counter("noc.fault.flits_dropped");
-  mid_.copies_lost = metrics_.counter("noc.fault.copies_lost");
-  mid_.link_max_flits = metrics_.gauge("noc.link.max_flits");
-  mid_.links_used = metrics_.gauge("noc.link.used");
-  mid_.windows = metrics_.gauge("noc.windows");
-  mid_.trace_recorded = metrics_.gauge("noc.trace.recorded");
-  mid_.trace_evicted = metrics_.gauge("noc.trace.evicted");
-  mid_.window_peak = metrics_.histogram(
-      "noc.window.peak_link_flits",
-      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384});
-  mid_.window_utilization = metrics_.histogram(
-      "noc.window.utilization_pct", {10, 20, 30, 40, 50, 60, 70, 80, 90});
   begin();
 }
 
@@ -199,7 +176,6 @@ void NocSimulator::begin() {
   tracer_.configure(config_.trace);
   trace_active_ = tracer_.enabled();
   if (trace_active_ && faults_active_) trace_fault_schedule();
-  metrics_.reset_values();
   if (config_.monitor.enabled) {
     monitor_.emplace(port_base_[n], config_.monitor);
     monitor_scratch_.assign(port_base_[n], 0);
@@ -1012,11 +988,6 @@ WindowEnergySample NocSimulator::close_energy_window() {
     if (mon) monitor_scratch_[i] = delta;
   }
   if (mon) monitor_->observe_window(monitor_scratch_, s.end_cycle - s.start_cycle);
-  metrics_.observe(mid_.window_peak, s.peak_link_flits);
-  if (s.end_cycle > s.start_cycle) {
-    metrics_.observe(mid_.window_utilization,
-                     s.busy_cycles * 100 / (s.end_cycle - s.start_cycle));
-  }
   s.energy_pj = config_.energy.activity_energy_pj(
       static_cast<double>(s.codec_events()),
       static_cast<double>(s.link_hops - s.offchip_link_hops),
@@ -1104,24 +1075,6 @@ NocRunResult NocSimulator::finish() {
     }
   }
   std::sort(stats_.link_flits.begin(), stats_.link_flits.end());
-  // Publish the session's counters into the metrics registry once, off the
-  // hot path; window histograms were already observed at each close.
-  metrics_.add(mid_.packets, stats_.packets_injected);
-  metrics_.add(mid_.flits, stats_.flits_injected);
-  metrics_.add(mid_.delivered, stats_.copies_delivered);
-  metrics_.add(mid_.link_hops, stats_.link_hops);
-  metrics_.add(mid_.offchip, stats_.offchip_link_hops);
-  metrics_.add(mid_.router_traversals, stats_.router_traversals);
-  metrics_.add(mid_.busy, busy_cycles_);
-  metrics_.add(mid_.reroutes, stats_.fault.reroutes);
-  metrics_.add(mid_.flits_dropped, stats_.fault.flits_dropped);
-  metrics_.add(mid_.copies_lost, stats_.fault.copies_lost());
-  metrics_.set(mid_.link_max_flits, stats_.max_link_flits());
-  metrics_.set(mid_.links_used, stats_.link_flits.size());
-  metrics_.set(mid_.windows, window_report_.windows.size());
-  metrics_.set(mid_.trace_recorded, tracer_.recorded());
-  metrics_.set(mid_.trace_evicted, tracer_.evicted());
-  result.metrics = metrics_.snapshot();
   if (monitor_) {
     result.congestion = monitor_->report();
     for (obs::HotLink& h : result.congestion.hot) {

@@ -42,7 +42,6 @@
 #include "noc/topology.hpp"
 #include "noc/wakeup.hpp"
 #include "obs/congestion.hpp"
-#include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 
 namespace snnmap::noc {
@@ -157,8 +156,6 @@ struct NocRunResult {
   std::uint64_t trace_recorded = 0;
   /// Congestion summary (`monitored == false` when the monitor is off).
   obs::CongestionReport congestion;
-  /// Session metrics snapshot (obs::MetricsRegistry; sorted by name).
-  obs::MetricsSnapshot metrics;
 };
 
 /// Sentinel for run_until(): no cycle bound (run to drain / max_cycles).
@@ -263,9 +260,6 @@ class NocSimulator {
   /// remap triggers, DVFS decisions — into the same deterministic stream.
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
-  /// The session's metrics registry (published at window closes and
-  /// finish(); zero cost inside the cycle loop).
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
   /// Moves out the tiles that went permanently silent (tile fault, or
   /// their router died) since the last call — the co-simulator's
   /// remap-on-failure trigger.  Empty on fault-free sessions.
@@ -402,20 +396,11 @@ class NocSimulator {
   std::vector<TileId> dead_tiles_pending_;  // for take_dead_tiles()
   std::vector<TileId> live_dests_;          // injection-time filter scratch
   // --- observability (inert by default: trace_active_ gates every record
-  // call, the monitor is only constructed when enabled, and the metrics
-  // registry is written at window/finish boundaries only) ----------------
+  // call, and the monitor is only constructed when enabled) --------------
   obs::Tracer tracer_;
   bool trace_active_ = false;  // config_.trace.enabled, hoisted
   std::optional<obs::CongestionMonitor> monitor_;
   std::vector<std::uint64_t> monitor_scratch_;  // per-link window deltas
-  obs::MetricsRegistry metrics_;
-  struct MetricIds {
-    obs::MetricsRegistry::Id packets, flits, delivered, link_hops, offchip,
-        router_traversals, busy, reroutes, flits_dropped, copies_lost,
-        link_max_flits, links_used, windows, trace_recorded, trace_evicted,
-        window_peak, window_utilization;
-  };
-  MetricIds mid_{};
 };
 
 }  // namespace snnmap::noc

@@ -118,6 +118,9 @@ void write_json(std::ostream& os, const cosim::FidelityReport& fidelity) {
   o.num("energy_delay_product", fidelity.energy_delay_product());
   accumulator_json(o.key("window_energy_pj"), fidelity.window_energy_pj);
   accumulator_json(o.key("freq_scale"), fidelity.freq_scale);
+  accumulator_json(o.key("window_busy_cycles"), fidelity.window_busy_cycles);
+  accumulator_json(o.key("window_peak_link_flits"),
+                   fidelity.window_peak_link_flits);
   write_json(o.key("congestion"), fidelity.congestion);
 }
 
@@ -158,33 +161,6 @@ void write_json(std::ostream& os, const CongestionReport& congestion) {
     ho.u64("hot_streak", h.hot_streak);
   }
   hot << "]";
-}
-
-void write_json(std::ostream& os, const MetricsSnapshot& metrics) {
-  Obj o(os);
-  for (const MetricSample& s : metrics.samples) {
-    std::ostream& entry = o.key(s.name.c_str());
-    Obj so(entry);
-    so.key("kind") << "\"" << to_string(s.kind) << "\"";
-    so.u64("value", s.value);
-    if (s.kind == MetricKind::kHistogram) {
-      so.u64("sum", s.hist.sum);
-      std::ostream& bounds = so.key("bounds");
-      bounds << "[";
-      for (std::size_t i = 0; i < s.hist.bounds.size(); ++i) {
-        if (i != 0) bounds << ",";
-        bounds << s.hist.bounds[i];
-      }
-      bounds << "]";
-      std::ostream& counts = so.key("counts");
-      counts << "[";
-      for (std::size_t i = 0; i < s.hist.counts.size(); ++i) {
-        if (i != 0) counts << ",";
-        counts << s.hist.counts[i];
-      }
-      counts << "]";
-    }
-  }
 }
 
 }  // namespace snnmap::obs

@@ -10,7 +10,6 @@
 #include "cosim/fidelity.hpp"
 #include "noc/metrics.hpp"
 #include "obs/congestion.hpp"
-#include "obs/metrics_registry.hpp"
 
 namespace snnmap::obs {
 
@@ -18,6 +17,5 @@ void write_json(std::ostream& os, const noc::NocStats& stats);
 void write_json(std::ostream& os, const cosim::FidelityReport& fidelity);
 void write_json(std::ostream& os, const cosim::ResilienceReport& resilience);
 void write_json(std::ostream& os, const CongestionReport& congestion);
-void write_json(std::ostream& os, const MetricsSnapshot& metrics);
 
 }  // namespace snnmap::obs

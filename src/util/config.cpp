@@ -130,6 +130,23 @@ std::optional<std::int64_t> Config::get_int(const std::string& key) const {
   return v;
 }
 
+std::optional<std::uint64_t> Config::get_uint(const std::string& key,
+                                              std::uint64_t max) const {
+  const auto s = get_string(key);
+  if (!s) return std::nullopt;
+  // from_chars into an unsigned type rejects a sign, blanks and overflow.
+  std::uint64_t v = 0;
+  const char* first = s->data();
+  const char* last = s->data() + s->size();
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc{} || ptr != last || v > max) {
+    throw std::runtime_error("config: key '" + key +
+                             "' is not an integer in [0, " +
+                             std::to_string(max) + "]: '" + *s + "'");
+  }
+  return v;
+}
+
 std::optional<bool> Config::get_bool(const std::string& key) const {
   const auto s = get_string(key);
   if (!s) return std::nullopt;
@@ -178,10 +195,6 @@ std::string Config::string_or(const std::string& key, std::string def) const {
 
 double Config::double_or(const std::string& key, double def) const {
   return get_double(key).value_or(def);
-}
-
-std::int64_t Config::int_or(const std::string& key, std::int64_t def) const {
-  return get_int(key).value_or(def);
 }
 
 bool Config::bool_or(const std::string& key, bool def) const {

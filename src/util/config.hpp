@@ -14,9 +14,12 @@
 // Keys are exposed flattened as "section.nested_key".
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace snnmap::util {
@@ -47,8 +50,16 @@ class Config {
   /// Convenience getters with defaults.
   std::string string_or(const std::string& key, std::string def) const;
   double double_or(const std::string& key, double def) const;
-  std::int64_t int_or(const std::string& key, std::int64_t def) const;
   bool bool_or(const std::string& key, bool def) const;
+  /// Unsigned getter with a default, typed by the field it fills: the value
+  /// must be a plain decimal that fits `UInt` (no sign, no wrap-around), or
+  /// std::runtime_error names the key.
+  template <typename UInt>
+  UInt uint_or(const std::string& key, UInt def) const {
+    static_assert(std::is_unsigned_v<UInt>, "uint_or fills unsigned fields");
+    const auto v = get_uint(key, std::numeric_limits<UInt>::max());
+    return v ? static_cast<UInt>(*v) : def;
+  }
 
   /// Programmatic insertion (used by tests and by presets).
   void set(const std::string& key, const std::string& value);
@@ -60,6 +71,10 @@ class Config {
   std::string dump() const;
 
  private:
+  /// The value of `key` as a decimal in [0, max]; nullopt when absent.
+  std::optional<std::uint64_t> get_uint(const std::string& key,
+                                        std::uint64_t max) const;
+
   std::map<std::string, std::string> values_;
 };
 

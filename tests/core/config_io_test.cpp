@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace snnmap::core {
 namespace {
@@ -71,7 +73,7 @@ TEST(ConfigIo, RoundTripsThroughDump) {
   flow.partitioner = PartitionerKind::kGenetic;
   flow.comm_aware_placement = true;
   flow.injection_jitter_cycles = 5;
-  flow.seed = 7;
+  flow.seed = std::numeric_limits<std::uint64_t>::max();  // full 64-bit range
   flow.noc.energy.aer_codec_pj = 0.25;
 
   util::Config serialized;
@@ -87,8 +89,52 @@ TEST(ConfigIo, RoundTripsThroughDump) {
   EXPECT_EQ(back.partitioner, PartitionerKind::kGenetic);
   EXPECT_TRUE(back.comm_aware_placement);
   EXPECT_EQ(back.injection_jitter_cycles, 5u);
-  EXPECT_EQ(back.seed, 7u);
+  EXPECT_EQ(back.seed, std::numeric_limits<std::uint64_t>::max());
   EXPECT_NEAR(back.energy().aer_codec_pj, 0.25, 1e-9);
+}
+
+// Integer keys fill unsigned fields: a sign or a value past the field's
+// range must throw (naming the key) instead of wrapping into a different,
+// often silently valid, setting.  These only load configs; nothing here
+// builds a thread pool or fabric from the rejected values.
+TEST(ConfigIo, OutOfRangeIntegerKeysThrowNamingTheKey) {
+  const auto expect_rejected = [](const std::string& key,
+                                  const std::string& value) {
+    SCOPED_TRACE(key + ": " + value);
+    util::Config cfg;
+    cfg.set(key, value);
+    try {
+      (void)mapping_flow_from_config(cfg);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  // 32-bit keys.
+  expect_rejected("arch.crossbars", "-1");
+  expect_rejected("arch.crossbars", "4294967296");
+  expect_rejected("noc.buffer_depth", "4294967297");
+  expect_rejected("pso.threads", "-1");
+  expect_rejected("pso.threads", "+4");
+  // 64-bit keys.
+  expect_rejected("noc.max_cycles", "-5");
+  expect_rejected("flow.seed", "18446744073709551616");
+
+  util::Config cosim;
+  cosim.set("cosim.cycles_per_timestep", "4294967296");
+  EXPECT_THROW((void)cosim_from_config(cosim, cosim::CoSimConfig{}),
+               std::runtime_error);
+
+  // Each field's full range still loads.
+  util::Config edges;
+  edges.set("arch.crossbars", "4294967295");
+  edges.set("noc.max_cycles", "18446744073709551615");
+  const auto flow = mapping_flow_from_config(edges);
+  EXPECT_EQ(flow.arch.crossbar_count,
+            std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(flow.noc.max_cycles, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ConfigIo, PartitionerNamesRoundTrip) {

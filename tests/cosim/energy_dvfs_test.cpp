@@ -75,6 +75,17 @@ TEST(CoSimWindowEnergy, FixedPolicySumsBitIdenticalOnAllGoldenScenarios) {
       // ...and the per-window samples are internally consistent.
       EXPECT_EQ(fid.per_step_energy_pj.size(), fid.steps);
       EXPECT_EQ(fid.window_energy_pj.count(), fid.steps);
+      EXPECT_EQ(fid.window_busy_cycles.count(), fid.steps);
+      EXPECT_EQ(fid.window_peak_link_flits.count(), fid.steps);
+      if (fid.steps > 0) {
+        // A window cannot be busy for longer than it ran, and no window's
+        // hottest link carries more than that link's session total.
+        EXPECT_LE(fid.window_busy_cycles.max(), static_cast<double>(budget));
+        EXPECT_LE(fid.window_busy_cycles.sum(),
+                  static_cast<double>(result.noc.duration_cycles));
+        EXPECT_LE(fid.window_peak_link_flits.max(),
+                  static_cast<double>(result.noc.max_link_flits()));
+      }
       EXPECT_EQ(fid.energy_hist.total(), fid.steps);
       double sum = 0.0;
       for (const double e : fid.per_step_energy_pj) sum += e;
@@ -292,6 +303,18 @@ TEST(CoSimWindowEnergy, EventEngineBitIdenticalThroughClosedLoop) {
               oracle.fidelity.freq_scale.count());
     EXPECT_EQ(evt.fidelity.freq_scale.mean(),
               oracle.fidelity.freq_scale.mean());
+    EXPECT_EQ(evt.fidelity.window_busy_cycles.count(),
+              oracle.fidelity.window_busy_cycles.count());
+    EXPECT_EQ(evt.fidelity.window_busy_cycles.sum(),
+              oracle.fidelity.window_busy_cycles.sum());
+    EXPECT_EQ(evt.fidelity.window_busy_cycles.max(),
+              oracle.fidelity.window_busy_cycles.max());
+    EXPECT_EQ(evt.fidelity.window_peak_link_flits.count(),
+              oracle.fidelity.window_peak_link_flits.count());
+    EXPECT_EQ(evt.fidelity.window_peak_link_flits.sum(),
+              oracle.fidelity.window_peak_link_flits.sum());
+    EXPECT_EQ(evt.fidelity.window_peak_link_flits.max(),
+              oracle.fidelity.window_peak_link_flits.max());
     EXPECT_EQ(evt.fidelity.fabric_energy_pj,
               oracle.fidelity.fabric_energy_pj);
     EXPECT_EQ(evt.fidelity.per_step_energy_pj,

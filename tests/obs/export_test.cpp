@@ -13,7 +13,6 @@
 #include "cosim/fidelity.hpp"
 #include "noc/metrics.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics_registry.hpp"
 #include "obs/stats_json.hpp"
 #include "obs/trace.hpp"
 
@@ -137,18 +136,21 @@ TEST(StatsJson, DefaultReportsSerializeCleanly) {
   }
 }
 
-TEST(StatsJson, MetricsSnapshotIncludesHistograms) {
-  MetricsRegistry reg;
-  reg.add(reg.counter("noc.flits"), 12);
-  reg.observe(reg.histogram("noc.peak", {10, 100}), 50);
+TEST(StatsJson, FidelityCarriesPerWindowAccumulators) {
+  cosim::FidelityReport fid;
+  fid.window_busy_cycles.add(3.0);
+  fid.window_busy_cycles.add(5.0);
+  fid.window_peak_link_flits.add(50.0);
   std::ostringstream os;
-  write_json(os, reg.snapshot());
+  write_json(os, fid);
   const std::string json = os.str();
   expect_plausible_json_object(json);
-  EXPECT_NE(json.find("\"noc.flits\":{\"kind\":\"counter\",\"value\":12}"),
+  EXPECT_NE(json.find("\"window_busy_cycles\":{\"count\":2,\"mean\":4,"),
             std::string::npos);
-  EXPECT_NE(json.find("\"noc.peak\":{\"kind\":\"histogram\",\"value\":1,"
-                      "\"sum\":50,\"bounds\":[10,100],\"counts\":[0,1,0]}"),
+  EXPECT_NE(json.find("\"max\":5,\"sum\":8}"), std::string::npos);
+  EXPECT_NE(json.find("\"window_peak_link_flits\":{\"count\":1,"
+                      "\"mean\":50,\"stddev\":0,\"min\":50,\"max\":50,"
+                      "\"sum\":50}"),
             std::string::npos);
 }
 

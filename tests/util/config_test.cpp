@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace snnmap::util {
@@ -57,8 +58,8 @@ TEST(Config, MissingKeyIsNullopt) {
 
 TEST(Config, DefaultsApplyOnlyWhenAbsent) {
   const auto cfg = Config::parse("x: 3\n");
-  EXPECT_EQ(cfg.int_or("x", 99), 3);
-  EXPECT_EQ(cfg.int_or("y", 99), 99);
+  EXPECT_EQ(cfg.uint_or("x", 99u), 3u);
+  EXPECT_EQ(cfg.uint_or("y", 99u), 99u);
   EXPECT_EQ(cfg.double_or("y", 1.5), 1.5);
   EXPECT_EQ(cfg.string_or("y", "dflt"), "dflt");
   EXPECT_EQ(cfg.bool_or("y", true), true);
@@ -69,6 +70,19 @@ TEST(Config, TypeErrorsThrow) {
   EXPECT_THROW((void)cfg.get_double("word"), std::runtime_error);
   EXPECT_THROW((void)cfg.get_int("word"), std::runtime_error);
   EXPECT_THROW((void)cfg.get_bool("word"), std::runtime_error);
+}
+
+TEST(Config, UintOrRangeFollowsTheFieldType) {
+  const auto cfg = Config::parse(
+      "max8: 255\nover8: 256\nneg: -1\nplus: +1\nblank: 3 x\n");
+  EXPECT_EQ(cfg.uint_or("max8", std::uint8_t{0}), 255u);
+  EXPECT_THROW((void)cfg.uint_or("over8", std::uint8_t{0}),
+               std::runtime_error);
+  EXPECT_EQ(cfg.uint_or("over8", std::uint16_t{0}), 256u);
+  for (const char* key : {"neg", "plus", "blank"}) {
+    EXPECT_THROW((void)cfg.uint_or(key, std::uint64_t{0}), std::runtime_error)
+        << key;
+  }
 }
 
 TEST(Config, BoolAcceptsCommonSpellings) {

@@ -448,8 +448,11 @@ def rule_ci_bench_sync(repo):
 CONFIG_SOURCES = ("src/core/config_io.cpp", "src/hw/energy_model.cpp")
 CONFIG_TEST = "tests/core/config_io_test.cpp"
 
+# Getter calls may carry explicit template arguments
+# (`.uint_or<std::uint32_t>("key", ...)`) as well as deduce them.
 READ_KEY_RE = re.compile(
-    r"\.\s*(?:int_or|double_or|bool_or|get_string)\s*\(\s*\"([a-z_0-9.]+)\"",
+    r"\.\s*(?:uint_or|double_or|bool_or|get_string)\s*(?:<[^<>()\"]*>)?"
+    r"\s*\(\s*\"([a-z_0-9.]+)\"",
     re.S)
 WRITE_KEY_RE = re.compile(r"\.\s*set\s*\(\s*\"([a-z_0-9.]+)\"", re.S)
 

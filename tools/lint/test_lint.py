@@ -56,6 +56,9 @@ EXPECTATIONS = {
         "src/hw/energy_model.cpp:11",  # energy.uncovered_pj not in test
         "tests/core/config_io_test.cpp:1",  # stale noc.renamed_away
     ]),
+    "config_template_read": (["config-key-coverage"], 1, [
+        "src/core/config_io.cpp:12",  # uint_or<...> read, never written
+    ]),
 }
 
 

@@ -4,7 +4,7 @@
 namespace fixture {
 
 void from_config(const Config& config, Flow& flow) {
-  flow.depth = config.int_or("noc.buffer_depth", flow.depth);
+  flow.depth = config.uint_or("noc.buffer_depth", flow.depth);
   flow.rate = config.double_or("faults.link_fault_rate", flow.rate);
 }
 

@@ -5,8 +5,8 @@
 namespace fixture {
 
 void from_config(const Config& config, Flow& flow) {
-  flow.a = config.int_or("noc.read_only", flow.a);
-  flow.b = config.int_or("noc.covered", flow.b);
+  flow.a = config.uint_or("noc.read_only", flow.a);
+  flow.b = config.uint_or("noc.covered", flow.b);
 }
 
 void to_config(const Flow& flow, Config& config) {
