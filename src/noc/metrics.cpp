@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <tuple>
 
 namespace snnmap::noc {
 
@@ -38,33 +38,78 @@ double NocStats::throughput_aer_per_ms(
 
 namespace {
 
-/// Stable counting-sort of `spikes` by key, scattered into a fresh vector.
-/// Used instead of comparison sorts because simulator delivery logs arrive
-/// pre-sorted by recv_cycle: a stable pass per remaining key reproduces the
-/// exact multi-key order at O(n) instead of O(n log n) over 48-byte
-/// elements.
-template <typename Key>
-std::vector<DeliveredSpike> stable_bucket_by(
-    const std::vector<DeliveredSpike>& spikes, Key&& key,
-    std::size_t key_bound) {
-  std::vector<std::size_t> offsets(key_bound + 1, 0);
-  for (const DeliveredSpike& s : spikes) {
-    ++offsets[static_cast<std::size_t>(key(s)) + 1];
-  }
-  for (std::size_t k = 1; k <= key_bound; ++k) offsets[k] += offsets[k - 1];
-  std::vector<DeliveredSpike> sorted(spikes.size());
-  for (const DeliveredSpike& s : spikes) {
-    sorted[offsets[static_cast<std::size_t>(key(s))]++] = s;
-  }
-  return sorted;
-}
+/// Order-preserving dense indices of destination tiles and of (source
+/// neuron, destination tile) streams.  Raw ids index directly while the
+/// stream table (max_neuron + 1) * (max_dest + 1) stays within a small
+/// multiple of the log; sparser ids (handcrafted logs reach UINT32_MAX) are
+/// replaced by their rank among the ids present.
+struct StreamIndex {
+  std::size_t tiles = 0;
+  std::size_t streams = 0;
+  std::vector<std::uint64_t> tile_ids;    ///< empty while raw ids index
+  std::vector<std::uint64_t> stream_ids;  ///< empty while raw ids index
 
-/// True when a counting pass over ids bounded by `max_key` costs less than
-/// a comparison sort of `n` elements would.
-bool dense_enough(std::uint32_t max_key, std::size_t n) {
-  return static_cast<std::uint64_t>(max_key) <
-         static_cast<std::uint64_t>(n) * 4 + 1024;
-}
+  static std::uint64_t key(const DeliveredSpike& s) noexcept {
+    return (std::uint64_t{s.source_neuron} << 32) | s.dest_tile;
+  }
+  static std::size_t rank(const std::vector<std::uint64_t>& ids,
+                          std::uint64_t id) noexcept {
+    return static_cast<std::size_t>(
+        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+  }
+
+  explicit StreamIndex(const std::vector<DeliveredSpike>& log) {
+    std::uint64_t max_dest = 0;
+    std::uint64_t max_neuron = 0;
+    for (const DeliveredSpike& s : log) {
+      max_dest = std::max<std::uint64_t>(max_dest, s.dest_tile);
+      max_neuron = std::max<std::uint64_t>(max_neuron, s.source_neuron);
+    }
+    const std::uint64_t budget = 2 * std::uint64_t{log.size()} + 4096;
+    if (max_dest < budget && max_neuron < budget / (max_dest + 1)) {
+      tiles = static_cast<std::size_t>(max_dest + 1);
+      streams = static_cast<std::size_t>(max_neuron + 1) * tiles;
+      return;
+    }
+    for (const DeliveredSpike& s : log) {
+      tile_ids.push_back(s.dest_tile);
+      stream_ids.push_back(key(s));
+    }
+    for (std::vector<std::uint64_t>* ids : {&tile_ids, &stream_ids}) {
+      std::sort(ids->begin(), ids->end());
+      ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+    }
+    tiles = tile_ids.size();
+    streams = stream_ids.size();
+  }
+  std::size_t tile(const DeliveredSpike& s) const noexcept {
+    return tile_ids.empty() ? s.dest_tile : rank(tile_ids, s.dest_tile);
+  }
+  std::size_t stream(const DeliveredSpike& s) const noexcept {
+    return stream_ids.empty()
+               ? std::size_t{s.source_neuron} * tiles + s.dest_tile
+               : rank(stream_ids, key(s));
+  }
+};
+
+/// Log-order scan state of one destination tile.
+struct TileScan {
+  std::uint64_t last_recv = 0;
+  std::uint64_t last_emit = 0;
+  std::uint64_t max_step = 0;
+  std::uint64_t disordered = 0;
+  bool reordered = false;  ///< the log is not (recv, emit)-ordered here
+};
+
+/// Log-order scan state of one (source neuron, destination tile) stream.
+struct StreamScan {
+  std::uint64_t last_emit = 0;
+  std::uint64_t last_recv = 0;
+  std::size_t next = 0;  ///< pass 1: records seen; pass 2: next slot
+  std::uint32_t last_sequence = 0;
+  bool seen = false;       ///< pass 2 has passed a record of the stream
+  bool reordered = false;  ///< arrivals went out of sequence
+};
 
 }  // namespace
 
@@ -73,140 +118,93 @@ SnnMetrics compute_snn_metrics(
   SnnMetrics m;
   m.delivered_spikes = delivery_log.size();
   if (delivery_log.empty()) return m;
+  const StreamIndex index(delivery_log);
+  std::vector<TileScan> tiles(index.tiles);
+  std::vector<StreamScan> streams(index.streams);
+  std::vector<double> distortion;
+  const auto add_disorder = [](TileScan& t, const DeliveredSpike& s) {
+    if (s.emit_step < t.max_step) ++t.disordered;  // a later step overtook it
+    t.max_step = std::max(t.max_step, s.emit_step);
+  };
+  const auto add_isi = [&](StreamScan& st, const DeliveredSpike& s) {
+    if (st.seen) {
+      const double sent_isi = static_cast<double>(s.emit_cycle) -
+                              static_cast<double>(st.last_emit);
+      const double recv_isi = static_cast<double>(s.recv_cycle) -
+                              static_cast<double>(st.last_recv);
+      distortion[st.next++] = std::abs(recv_isi - sent_isi);
+    }
+    st.last_emit = s.emit_cycle;
+    st.last_recv = s.recv_cycle;
+    st.seen = true;
+  };
 
-  std::uint32_t max_dest = 0;
-  std::uint32_t max_neuron = 0;
+  // ---- Pass 1: disorder per tile in log order, which is its arrival order
+  // unless the tile is flagged as not (recv, emit)-ordered, and record
+  // counts per stream, flagging streams whose sequence goes back.
   for (const DeliveredSpike& s : delivery_log) {
-    max_dest = std::max(max_dest, s.dest_tile);
-    max_neuron = std::max(max_neuron, s.source_neuron);
+    TileScan& t = tiles[index.tile(s)];
+    t.reordered |= std::tie(s.recv_cycle, s.emit_cycle) <
+                   std::tie(t.last_recv, t.last_emit);
+    t.last_recv = s.recv_cycle;
+    t.last_emit = s.emit_cycle;
+    add_disorder(t, s);
+    StreamScan& st = streams[index.stream(s)];
+    st.reordered |= st.next != 0 && s.sequence < st.last_sequence;
+    st.last_sequence = s.sequence;
+    ++st.next;
+  }
+  std::size_t pairs = 0;
+  for (StreamScan& st : streams) {
+    const std::size_t records = st.next;
+    st.next = pairs;
+    pairs += records == 0 ? 0 : records - 1;
   }
 
-  // ---- Spike disorder: per destination, arrival order vs emission order,
-  // i.e. sorted by (dest_tile, recv_cycle, emit_cycle).  The bucket pass
-  // preserves arrival order inside each destination; only inputs that are
-  // not already recv-ordered (handcrafted logs) need the per-bucket sort.
-  // Pathologically sparse tile ids (possible for handcrafted logs — the
-  // simulator's ids are bounded by tile_count) fall back to the comparison
-  // sort, which also avoids the + 1 overflow a UINT32_MAX key would hit.
-  // Either way the sorted working copy is built straight from the
-  // caller's log, which stays untouched.
-  std::vector<DeliveredSpike> delivered;
-  if (dense_enough(max_dest, delivery_log.size())) {
-    delivered = stable_bucket_by(
-        delivery_log, [](const DeliveredSpike& s) { return s.dest_tile; },
-        static_cast<std::size_t>(max_dest) + 1);
-    const auto recv_emit_less = [](const DeliveredSpike& a,
-                                   const DeliveredSpike& b) {
-      if (a.recv_cycle != b.recv_cycle) return a.recv_cycle < b.recv_cycle;
-      return a.emit_cycle < b.emit_cycle;
-    };
-    std::size_t i = 0;
-    while (i < delivered.size()) {
-      std::size_t j = i + 1;
-      while (j < delivered.size() &&
-             delivered[j].dest_tile == delivered[i].dest_tile) {
-        ++j;
-      }
-      if (!std::is_sorted(delivered.begin() + static_cast<std::ptrdiff_t>(i),
-                          delivered.begin() + static_cast<std::ptrdiff_t>(j),
-                          recv_emit_less)) {
-        std::sort(delivered.begin() + static_cast<std::ptrdiff_t>(i),
-                  delivered.begin() + static_cast<std::ptrdiff_t>(j),
-                  recv_emit_less);
-      }
-      i = j;
+  // ---- Pass 2: each stream's consecutive-pair distortions go to its
+  // stream-major slots, the order the Welford mean below is defined in.
+  // Flagged streams, and all streams of flagged tiles, are set aside.
+  distortion.resize(pairs);
+  std::vector<DeliveredSpike> repair;
+  for (const DeliveredSpike& s : delivery_log) {
+    StreamScan& st = streams[index.stream(s)];
+    if (st.reordered || tiles[index.tile(s)].reordered) {
+      repair.push_back(s);
+    } else {
+      add_isi(st, s);
     }
-  } else {
-    delivered = delivery_log;
-    std::sort(delivered.begin(), delivered.end(),
-              [](const DeliveredSpike& a, const DeliveredSpike& b) {
-                if (a.dest_tile != b.dest_tile)
-                  return a.dest_tile < b.dest_tile;
-                if (a.recv_cycle != b.recv_cycle)
-                  return a.recv_cycle < b.recv_cycle;
-                return a.emit_cycle < b.emit_cycle;
-              });
   }
-  std::size_t i = 0;
-  while (i < delivered.size()) {
-    std::size_t j = i;
-    std::uint64_t max_step_seen = 0;
-    bool first = true;
-    while (j < delivered.size() &&
-           delivered[j].dest_tile == delivered[i].dest_tile) {
-      if (!first && delivered[j].emit_step < max_step_seen) {
-        ++m.disordered_spikes;  // an earlier-step spike arrived late
-      }
-      max_step_seen = std::max(max_step_seen, delivered[j].emit_step);
-      first = false;
-      ++j;
-    }
-    i = j;
+
+  // ---- Repair: the set-aside records are rescanned in the defined orders,
+  // tiles by (recv, emit) and streams by (sequence, recv, emit), with exact
+  // ties in log order.
+  std::stable_sort(repair.begin(), repair.end(),
+                   [](const DeliveredSpike& a, const DeliveredSpike& b) {
+                     return std::tie(a.recv_cycle, a.emit_cycle) <
+                            std::tie(b.recv_cycle, b.emit_cycle);
+                   });
+  for (TileScan& t : tiles) {
+    if (t.reordered) t = TileScan{.reordered = true};
   }
+  for (const DeliveredSpike& s : repair) {
+    TileScan& t = tiles[index.tile(s)];
+    if (t.reordered) add_disorder(t, s);
+  }
+  std::stable_sort(repair.begin(), repair.end(),
+                   [](const DeliveredSpike& a, const DeliveredSpike& b) {
+                     return std::tie(a.sequence, a.recv_cycle, a.emit_cycle) <
+                            std::tie(b.sequence, b.recv_cycle, b.emit_cycle);
+                   });
+  for (const DeliveredSpike& s : repair) add_isi(streams[index.stream(s)], s);
+
+  for (const TileScan& t : tiles) m.disordered_spikes += t.disordered;
   m.disorder_fraction = static_cast<double>(m.disordered_spikes) /
                         static_cast<double>(m.delivered_spikes);
-
-  // ---- ISI distortion: per (source neuron, destination) stream, sorted by
-  // (source_neuron, dest_tile, sequence).  A stable pass by neuron over the
-  // dest-sorted array yields (neuron, dest) grouping directly; only streams
-  // where congestion actually reordered arrivals need the per-stream sort.
-  if (dense_enough(max_neuron, delivered.size())) {
-    delivered = stable_bucket_by(
-        delivered, [](const DeliveredSpike& s) { return s.source_neuron; },
-        static_cast<std::size_t>(max_neuron) + 1);
-    const auto sequence_less = [](const DeliveredSpike& a,
-                                  const DeliveredSpike& b) {
-      return a.sequence < b.sequence;
-    };
-    std::size_t i = 0;
-    while (i < delivered.size()) {
-      std::size_t j = i + 1;
-      while (j < delivered.size() &&
-             delivered[j].source_neuron == delivered[i].source_neuron &&
-             delivered[j].dest_tile == delivered[i].dest_tile) {
-        ++j;
-      }
-      if (!std::is_sorted(delivered.begin() + static_cast<std::ptrdiff_t>(i),
-                          delivered.begin() + static_cast<std::ptrdiff_t>(j),
-                          sequence_less)) {
-        std::sort(delivered.begin() + static_cast<std::ptrdiff_t>(i),
-                  delivered.begin() + static_cast<std::ptrdiff_t>(j),
-                  sequence_less);
-      }
-      i = j;
-    }
-  } else {
-    // Pathologically sparse neuron ids: a counting pass would allocate more
-    // than the comparison sort costs.
-    std::sort(delivered.begin(), delivered.end(),
-              [](const DeliveredSpike& a, const DeliveredSpike& b) {
-                if (a.source_neuron != b.source_neuron)
-                  return a.source_neuron < b.source_neuron;
-                if (a.dest_tile != b.dest_tile)
-                  return a.dest_tile < b.dest_tile;
-                return a.sequence < b.sequence;
-              });
-  }
   util::Accumulator isi;
-  double max_distortion = 0.0;
-  for (std::size_t k = 1; k < delivered.size(); ++k) {
-    const DeliveredSpike& prev = delivered[k - 1];
-    const DeliveredSpike& cur = delivered[k];
-    if (prev.source_neuron != cur.source_neuron ||
-        prev.dest_tile != cur.dest_tile) {
-      continue;
-    }
-    const double sent_isi = static_cast<double>(cur.emit_cycle) -
-                            static_cast<double>(prev.emit_cycle);
-    const double recv_isi = static_cast<double>(cur.recv_cycle) -
-                            static_cast<double>(prev.recv_cycle);
-    const double distortion = std::abs(recv_isi - sent_isi);
-    isi.add(distortion);
-    max_distortion = std::max(max_distortion, distortion);
-  }
+  for (const double d : distortion) isi.add(d);
   m.isi_pairs = isi.count();
   m.isi_distortion_avg_cycles = isi.mean();
-  m.isi_distortion_max_cycles = max_distortion;
+  m.isi_distortion_max_cycles = isi.max();
   return m;
 }
 

@@ -26,6 +26,7 @@ struct DeliveredSpike {
   std::uint32_t source_neuron = 0;
   TileId source_tile = 0;
   TileId dest_tile = 0;
+  std::uint32_t sequence = 0;    ///< per-source-neuron emission counter
   std::uint64_t emit_cycle = 0;  ///< cycle the encoder transmitted the packet
   /// SNN timestep (ms index) of the spike.  Disorder is judged on this, not
   /// on emit_cycle: spikes of the same 1 ms step have no defined order (the
@@ -33,10 +34,11 @@ struct DeliveredSpike {
   /// information loss.
   std::uint64_t emit_step = 0;
   std::uint64_t recv_cycle = 0;  ///< cycle the decoder received it
-  std::uint32_t sequence = 0;    ///< per-source-neuron emission counter
 
   std::uint64_t latency() const noexcept { return recv_cycle - emit_cycle; }
 };
+// One record per delivered copy: the log of a long run holds millions.
+static_assert(sizeof(DeliveredSpike) == 40);
 
 /// Fault-injection accounting of one run/session (all zero — and the fault
 /// branches never taken — when no FaultConfig is set; see noc/faults.hpp).
@@ -181,10 +183,18 @@ struct SnnMetrics {
 };
 
 /// Computes disorder + ISI distortion from the delivery log.
-/// Disorder: per destination tile, scan deliveries in arrival order and count
-/// spikes overtaken by a later-emitted spike.
+/// Disorder: per destination tile, scan deliveries in arrival order,
+/// (recv_cycle, emit_cycle), and count spikes overtaken by a spike of a
+/// later emit_step.
 /// ISI distortion: per (source neuron, destination tile) stream in emission
-/// order, |(recv_i - recv_{i-1}) - (emit_i - emit_{i-1})|.
+/// order, (sequence, recv_cycle, emit_cycle), the samples
+/// |(recv_i - recv_{i-1}) - (emit_i - emit_{i-1})|, averaged in stream-major
+/// (neuron, dest) order.  Exact ties in these keys keep log order.
+/// The log is read in place, in log order: simulator logs already list each
+/// tile in arrival order and almost every stream in sequence, so only the
+/// records of tiles and streams the scan flags as out of order are copied,
+/// sorted and rescanned.  Besides those it holds 8 bytes per ISI sample and
+/// per-tile and per-stream state.
 SnnMetrics compute_snn_metrics(const std::vector<DeliveredSpike>& delivery_log);
 
 }  // namespace snnmap::noc

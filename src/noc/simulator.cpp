@@ -28,6 +28,15 @@ constexpr std::uint8_t kHopUnroutable = 0x80;  ///< no live port from here
   return ports >= 63 || (mask >> (ports + 1)) == 0;
 }
 
+/// Makes room for `extra` more elements, at least doubling the capacity
+/// when it grows: an exact reserve per enqueue would copy the whole vector
+/// on every call of a long session.
+template <typename T>
+void reserve_more(std::vector<T>& v, std::size_t extra) {
+  const std::size_t need = v.size() + extra;
+  if (need > v.capacity()) v.reserve(std::max(need, 2 * v.capacity()));
+}
+
 }  // namespace
 
 const char* to_string(SelectionStrategy selection) noexcept {
@@ -356,11 +365,11 @@ void NocSimulator::enqueue(std::vector<SpikePacketEvent> traffic) {
                 return a.source_tile < b.source_tile;
               return a.source_neuron < b.source_neuron;
             });
-  arena_.reserve(arena_.size() + new_dests * 2);
+  reserve_more(arena_, new_dests * 2);
   hop_port_.reserve(arena_.capacity());
   if (config_.collect_delivered) {
     // Exactly one delivered copy per (event, destination) on a drained run.
-    delivered_.reserve(delivered_.size() + new_dests);
+    reserve_more(delivered_, new_dests);
   }
 }
 

@@ -437,6 +437,68 @@ TEST(NocSimulatorSession, WindowedRunMatchesOneShotRun) {
   EXPECT_TRUE(finished.stats.drained);
 }
 
+TEST(NocSimulatorSession, LongUndrainedSessionMatchesOneShotRun) {
+  // 2000 windows of enqueue + run_until that never drain the delivery log
+  // (each enqueue grows the log's reserve; an exact reserve per window made
+  // such sessions quadratic) must end with the log of a one-shot run of the
+  // same traffic.  Every event has its own (emit_cycle, source_tile,
+  // source_neuron) sort key, so no order depends on how the traffic was
+  // split into windows.
+  constexpr std::uint64_t kWindows = 2000;
+  constexpr std::uint64_t kWindow = 16;
+  constexpr TileId kTiles = 16;
+  std::vector<std::vector<SpikePacketEvent>> windows(kWindows);
+  std::vector<SpikePacketEvent> all;
+  for (std::uint64_t w = 0; w < kWindows; ++w) {
+    for (TileId src = 0; src < kTiles; ++src) {
+      std::vector<TileId> dests = {
+          static_cast<TileId>((src + 1 + w % 15) % kTiles),
+          static_cast<TileId>((src + 9) % kTiles),
+          static_cast<TileId>((src + 4) % kTiles)};
+      if (dests[0] == dests[1] || dests[0] == dests[2]) {
+        dests.erase(dests.begin());
+      }
+      const auto neuron = static_cast<std::uint32_t>((w * 7 + src) % 300);
+      SpikePacketEvent e =
+          event(w * kWindow + (w + src) % 5, neuron, src, std::move(dests));
+      e.emit_step = w;
+      windows[w].push_back(e);
+      all.push_back(std::move(e));
+    }
+  }
+
+  NocSimulator one_shot(Topology::mesh(4, 4), NocConfig{});
+  const auto expected = one_shot.run(all);
+  ASSERT_TRUE(expected.stats.drained);
+
+  NocSimulator session(Topology::mesh(4, 4), NocConfig{});
+  session.begin();
+  for (std::uint64_t w = 0; w < kWindows; ++w) {
+    session.enqueue(windows[w]);
+    session.run_until((w + 1) * kWindow);
+  }
+  session.run_until(kNoCycleLimit);
+  const auto finished = session.finish();
+
+  const auto& log = finished.delivered;
+  ASSERT_EQ(log.size(), expected.delivered.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].source_neuron, expected.delivered[i].source_neuron);
+    EXPECT_EQ(log[i].source_tile, expected.delivered[i].source_tile);
+    EXPECT_EQ(log[i].dest_tile, expected.delivered[i].dest_tile);
+    EXPECT_EQ(log[i].emit_cycle, expected.delivered[i].emit_cycle);
+    EXPECT_EQ(log[i].emit_step, expected.delivered[i].emit_step);
+    EXPECT_EQ(log[i].recv_cycle, expected.delivered[i].recv_cycle);
+    EXPECT_EQ(log[i].sequence, expected.delivered[i].sequence);
+  }
+  EXPECT_EQ(finished.snn.isi_pairs, expected.snn.isi_pairs);
+  EXPECT_EQ(finished.snn.isi_distortion_avg_cycles,
+            expected.snn.isi_distortion_avg_cycles);
+  EXPECT_EQ(finished.snn.disordered_spikes, expected.snn.disordered_spikes);
+  EXPECT_EQ(finished.stats.copies_delivered,
+            expected.stats.copies_delivered);
+}
+
 TEST(NocSimulatorSession, RunUntilAdvancesVirtualTimeWhenIdle) {
   NocSimulator sim(Topology::mesh(2, 2), NocConfig{});
   sim.begin();
