@@ -12,6 +12,8 @@
 //  * a congested run (small cycle budget: measures carried backlog, late
 //    arrivals and verdict withholding),
 //  * a bounded-receive-queue run (drop accounting on top of congestion),
+//  * the ideal-budget run under each scaling DVFS policy (the per-window
+//    policy step on top of the energy-window close every step pays),
 //  * a cycles-per-timestep sweep fanned out with util::ThreadPool::map.
 #include <benchmark/benchmark.h>
 
@@ -120,6 +122,17 @@ void BM_CoSimulator_BoundedReceiveQueue(benchmark::State& state) {
   run_cosim(state, config);
 }
 BENCHMARK(BM_CoSimulator_BoundedReceiveQueue);
+
+void BM_CoSimulator_Dvfs(benchmark::State& state,
+                        cosim::DvfsPolicyKind policy) {
+  cosim::CoSimConfig config = cosim_config(2048);
+  config.dvfs.kind = policy;
+  run_cosim(state, config);
+}
+BENCHMARK_CAPTURE(BM_CoSimulator_Dvfs, utilization,
+                  cosim::DvfsPolicyKind::kUtilizationThreshold);
+BENCHMARK_CAPTURE(BM_CoSimulator_Dvfs, deadline-slack,
+                  cosim::DvfsPolicyKind::kDeadlineSlack);
 
 void BM_CoSimulator_BatchCptSweep(benchmark::State& state) {
   const Mapped& m = mapped_workload();

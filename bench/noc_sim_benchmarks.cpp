@@ -10,7 +10,13 @@
 //    deterministic and partitioner-noise-free),
 //  * the ablation_routing right-column hotspot (adaptive routing + selection
 //    under heavy backpressure),
-//  * a CxQuad-style tree multicast workload.
+//  * a CxQuad-style tree multicast workload,
+//  * an 8x8 mesh multicast session with one NoC feature (energy windows,
+//    faults, tracing, congestion monitor) on per leg.
+//
+// Counters that are not rates (copies_delivered, router_traversals,
+// footprint_bytes, ...) are deterministic work counts per run, which
+// scripts/bench_gate.py holds exactly.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -96,22 +102,38 @@ NocWorkload tree_multicast_workload() {
   return {noc::Topology::tree(16, 4), noc::NocConfig{}, std::move(traffic)};
 }
 
+/// A total over all iterations reported as its per-run value.
+benchmark::Counter per_run(std::uint64_t total) {
+  return benchmark::Counter(static_cast<double>(total),
+                            benchmark::Counter::kAvgIterations);
+}
+
+/// The simulated-throughput rates every trace-replay leg reports.
+void set_rates(benchmark::State& state, std::size_t packets,
+               std::uint64_t cycles, std::uint64_t delivered) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packets));
+  state.counters["cycles_per_sec"] = benchmark::Counter(
+      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+  state.counters["delivered_per_sec"] = benchmark::Counter(
+      static_cast<double>(delivered), benchmark::Counter::kIsRate);
+}
+
 void run_workload(benchmark::State& state, const NocWorkload& workload) {
   std::uint64_t cycles = 0;
   std::uint64_t delivered = 0;
+  std::uint64_t traversals = 0;
   for (auto _ : state) {
     noc::NocSimulator sim(workload.topology, workload.config);
     const auto result = sim.run(workload.traffic);
     benchmark::DoNotOptimize(result.stats.copies_delivered);
     cycles += result.stats.duration_cycles;
     delivered += result.stats.copies_delivered;
+    traversals += result.stats.router_traversals;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(workload.traffic.size()));
-  state.counters["cycles_per_sec"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  state.counters["delivered_per_sec"] = benchmark::Counter(
-      static_cast<double>(delivered), benchmark::Counter::kIsRate);
+  set_rates(state, workload.traffic.size(), cycles, delivered);
+  state.counters["copies_delivered"] = per_run(delivered);
+  state.counters["router_traversals"] = per_run(traversals);
 }
 
 void BM_NocSimulator_AblationMesh(benchmark::State& state) {
@@ -203,6 +225,115 @@ BENCHMARK(BM_NocIdleSkip)
     ->ArgNames({"engine"})  // 0=cycle 1=event
     ->Arg(0)
     ->Arg(1);
+
+// --- Feature overhead: one windowed session, one feature on -------------
+//
+// Every leg replays the same 8x8 XY mesh multicast trace as one windowed
+// session (begin, enqueue, run_until in kFeatureWindow-cycle windows until
+// the fabric drains, finish) and turns on exactly one NoC feature, so a
+// leg's rates against the `none` leg are that feature's cost:
+//
+//  * none    — the default NocConfig, the baseline the other legs are
+//              read against.  Every fault, trace and monitor branch is
+//              gated off.
+//  * windows — close_energy_window() after every window (a counter
+//              snapshot plus one O(ports) link-peak scan per boundary).
+//  * faults  — heavy seeded degradation (link, router and tile faults,
+//              frequent transients, lossy wires): the reroute/prune/purge
+//              paths run hot, and every begin() rebuilds the timeline.
+//  * trace   — tracing into a 64Ki ring: every inject/hop/park/deliver
+//              pays a record(); events_per_sec is the tracer's throughput.
+//  * monitor — windows closed as in `windows`, with the congestion monitor
+//              fed at every close.
+//
+// The per-run counters tell a throughput change apart from a workload
+// change: copies_delivered is equal on every leg but `faults` (observing
+// never changes the simulation), and the fault timeline does not depend on
+// the session's chunking.
+
+enum class Feature { kNone, kWindows, kFaults, kTrace, kMonitor };
+
+/// Cycles per run_until window: the trace drains in ~1.5k cycles, so a run
+/// closes ~150 windows.
+constexpr std::uint64_t kFeatureWindow = 10;
+
+noc::NocConfig feature_config(Feature feature) {
+  noc::NocConfig config;
+  if (feature == Feature::kFaults) {
+    noc::FaultConfig& f = config.faults;
+    f.seed = 909;
+    // Keep the horizon inside the drain time so the random faults land
+    // while traffic is still flowing.
+    f.horizon_cycles = 1'500;
+    f.link_fault_rate = 0.10;
+    f.router_fault_rate = 0.03;
+    f.tile_fault_rate = 0.05;
+    f.transient_link_rate = 0.20;
+    f.transient_duration_cycles = 400;
+    f.flit_drop_probability = 0.01;
+  } else if (feature == Feature::kTrace) {
+    config.trace.enabled = true;
+    config.trace.ring_capacity = 1u << 16;
+  } else if (feature == Feature::kMonitor) {
+    config.monitor.enabled = true;
+    config.monitor.hot_occupancy = 0.25;
+  }
+  return config;
+}
+
+void BM_NocFeatureOverhead(benchmark::State& state, Feature feature) {
+  static const noc::Topology topology = noc::Topology::mesh(8, 8);
+  static const std::vector<noc::SpikePacketEvent> traffic =
+      noc::patterns::multicast_traffic(/*seed=*/909, /*tiles=*/64,
+                                       /*packets=*/6000, /*max_fanout=*/5,
+                                       /*packets_per_cycle=*/4);
+  const noc::NocConfig config = feature_config(feature);
+  const bool close_windows =
+      feature == Feature::kWindows || feature == Feature::kMonitor;
+  std::uint64_t cycles = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t reroutes = 0;
+  std::uint64_t fault_events = 0;
+  std::uint64_t recorded = 0;
+  std::uint64_t windows = 0;
+  for (auto _ : state) {
+    noc::NocSimulator sim(topology, config);
+    sim.begin();
+    sim.enqueue(traffic);
+    while (!sim.idle() && !sim.halted()) {
+      sim.run_cycles(kFeatureWindow);
+      if (close_windows) sim.close_energy_window();
+      ++windows;
+    }
+    const auto result = sim.finish();
+    benchmark::DoNotOptimize(result.stats.copies_delivered);
+    cycles += result.stats.duration_cycles;
+    delivered += result.stats.copies_delivered;
+    lost += result.stats.fault.copies_lost();
+    reroutes += result.stats.fault.reroutes;
+    fault_events += result.stats.fault.link_faults +
+                    result.stats.fault.router_faults +
+                    result.stats.fault.tile_faults;
+    recorded += result.trace_recorded;
+  }
+  set_rates(state, traffic.size(), cycles, delivered);
+  if (recorded > 0) {
+    state.counters["events_per_sec"] = benchmark::Counter(
+        static_cast<double>(recorded), benchmark::Counter::kIsRate);
+  }
+  state.counters["copies_delivered"] = per_run(delivered);
+  state.counters["copies_lost"] = per_run(lost);
+  state.counters["reroutes"] = per_run(reroutes);
+  state.counters["fault_events"] = per_run(fault_events);
+  state.counters["trace_recorded"] = per_run(recorded);
+  state.counters["windows"] = per_run(windows);
+}
+BENCHMARK_CAPTURE(BM_NocFeatureOverhead, none, Feature::kNone);
+BENCHMARK_CAPTURE(BM_NocFeatureOverhead, windows, Feature::kWindows);
+BENCHMARK_CAPTURE(BM_NocFeatureOverhead, faults, Feature::kFaults);
+BENCHMARK_CAPTURE(BM_NocFeatureOverhead, trace, Feature::kTrace);
+BENCHMARK_CAPTURE(BM_NocFeatureOverhead, monitor, Feature::kMonitor);
 
 // --- Routing-function lookups ---------------------------------------------
 //

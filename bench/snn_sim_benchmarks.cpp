@@ -3,7 +3,8 @@
 // Run via scripts/bench.sh, which writes BENCH_snn.json so the perf
 // trajectory of the clock-driven step loop is tracked PR over PR.  The
 // headline numbers are simulated ms/sec (sim_ms_per_sec counter) and neuron
-// updates/sec (items/sec) on:
+// updates/sec (items/sec), next to the deterministic spike count per run
+// (spikes counter, which scripts/bench_gate.py holds exactly) on:
 //
 //  * the paper's synthetic stimulus shape — 10 Poisson sources with mean
 //    rates spread over 10..100 Hz — driving two fully connected Izhikevich
@@ -85,6 +86,17 @@ snn::Network stdp_network() {
   return net;
 }
 
+/// Simulated ms/sec and spikes/sec, plus the spike count per run.
+void set_counters(benchmark::State& state, std::uint64_t spikes,
+                  double simulated_ms) {
+  state.counters["sim_ms_per_sec"] =
+      benchmark::Counter(simulated_ms, benchmark::Counter::kIsRate);
+  state.counters["spikes_per_sec"] = benchmark::Counter(
+      static_cast<double>(spikes), benchmark::Counter::kIsRate);
+  state.counters["spikes"] = benchmark::Counter(
+      static_cast<double>(spikes), benchmark::Counter::kAvgIterations);
+}
+
 void run_simulation(benchmark::State& state, snn::Network& net,
                     const snn::SimulationConfig& config) {
   std::uint64_t spikes = 0;
@@ -101,10 +113,7 @@ void run_simulation(benchmark::State& state, snn::Network& net,
       (config.duration_ms / config.dt_ms));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           updates);
-  state.counters["sim_ms_per_sec"] =
-      benchmark::Counter(simulated_ms, benchmark::Counter::kIsRate);
-  state.counters["spikes_per_sec"] = benchmark::Counter(
-      static_cast<double>(spikes), benchmark::Counter::kIsRate);
+  set_counters(state, spikes, simulated_ms);
 }
 
 void BM_SnnSimulator_IzhPoisson(benchmark::State& state) {
@@ -144,10 +153,7 @@ void BM_SnnSimulator_StdpTraining(benchmark::State& state) {
     spikes += result.total_spikes;
     simulated_ms += result.duration_ms;
   }
-  state.counters["sim_ms_per_sec"] =
-      benchmark::Counter(simulated_ms, benchmark::Counter::kIsRate);
-  state.counters["spikes_per_sec"] = benchmark::Counter(
-      static_cast<double>(spikes), benchmark::Counter::kIsRate);
+  set_counters(state, spikes, simulated_ms);
 }
 BENCHMARK(BM_SnnSimulator_StdpTraining);
 
@@ -187,10 +193,7 @@ void BM_BatchSnnEvaluator_MultiSeed(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(seeds.size()));
-  state.counters["sim_ms_per_sec"] =
-      benchmark::Counter(simulated_ms, benchmark::Counter::kIsRate);
-  state.counters["spikes_per_sec"] = benchmark::Counter(
-      static_cast<double>(spikes), benchmark::Counter::kIsRate);
+  set_counters(state, spikes, simulated_ms);
 }
 BENCHMARK(BM_BatchSnnEvaluator_MultiSeed)->Arg(1)->Arg(0);
 

@@ -1,29 +1,29 @@
 #!/usr/bin/env bash
-# Simulator perf tracking: runs the BM_NocSimulator, BM_SnnSimulator,
-# BM_CoSimulator, BM_WindowEnergy/energy-accounting, BM_FaultedNoc and
-# BM_TraceOverhead suites (Release) and writes BENCH_noc.json /
-# BENCH_snn.json / BENCH_cosim.json / BENCH_energy.json /
-# BENCH_faults.json / BENCH_obs.json at the repo root so the
-# simulated-packets/sec, simulated-ms/sec, co-sim steps/sec,
-# energy-accounting-overhead, fault-injection-overhead and
-# observability-overhead trajectories are recorded PR over PR.
+# Simulator perf tracking: builds the three Google Benchmark suites in
+# Release and writes BENCH_noc.json (BM_NocSimulator, BM_NocFeatureOverhead,
+# routing and topology legs), BENCH_snn.json (BM_SnnSimulator) and
+# BENCH_cosim.json (BM_CoSimulator) at the repo root, so the simulators'
+# throughput and work counters are recorded PR over PR.
 #
 #   scripts/bench.sh [extra google-benchmark flags...]
 #   scripts/bench.sh --check [extra google-benchmark flags...]
 #
+# Every suite records its build context (build_type and compiler from the
+# build tree's CMake configuration; Google Benchmark adds num_cpus).
+#
 # --check runs the same suites into a scratch directory and gates them
-# against the committed BENCH_*.json via scripts/bench_gate.py: any
-# throughput counter (items_per_second or *_per_sec) more than 15% below
-# its committed value fails the script.  Because a shared VM's effective
-# clock swings between measurement windows (±20-25% observed here on a
-# minutes timescale), a failed gate triggers full re-measurements — up to
-# BENCH_CHECK_ATTEMPTS (default 3) — and the gate takes the best value per
-# counter across all attempts: a real regression is slow in every window
-# and still fails, a slow window alone does not.  The committed files are
-# left untouched in this mode (the *_OUT overrides are ignored).
+# against the committed files via scripts/bench_gate.py, leaving the
+# committed files untouched.  The gate refuses (exit 2) when the build
+# context differs from the committed one or a deterministic work counter
+# changed: re-measuring cannot fix either, so nothing is retried.  A rate
+# more than 15% below its committed value fails (exit 1).  Because a shared
+# VM's effective clock swings between measurement windows (±20-25% on a
+# minutes timescale), a rate failure triggers a full re-measurement, up to
+# 3 attempts, and the gate takes the best value per rate across all
+# attempts: a real regression is slow in every window and still fails.
 #
 # Requires Google Benchmark (the script aborts with a notice when the
-# library is absent and the *_sim_benchmarks targets were not generated).
+# library is absent and the benchmark targets were not generated).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,6 +35,7 @@ fi
 
 BUILD_DIR=${BUILD_DIR:-build-release}
 JOBS=${JOBS:-$(nproc)}
+SUITES=(noc:noc_sim_benchmarks snn:snn_sim_benchmarks cosim:cosim_benchmarks)
 
 configure_log=$(cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Release \
@@ -49,97 +50,59 @@ if grep -q "Google Benchmark not found" <<<"$configure_log"; then
   echo "benchmark targets not generated (Google Benchmark missing?)" >&2
   exit 1
 fi
-cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target noc_sim_benchmarks --target snn_sim_benchmarks \
-  --target cosim_benchmarks --target energy_benchmarks \
-  --target fault_benchmarks --target obs_benchmarks
+cmake --build "$BUILD_DIR" -j "$JOBS" --target "${SUITES[@]#*:}"
 
-run_suite() {
-  local binary=$1
-  local out=$2
-  shift 2
-  if [[ ! -x "$BUILD_DIR/bench/$binary" ]]; then
-    echo "$binary was not built (Google Benchmark missing?)" >&2
-    exit 1
-  fi
-  "$BUILD_DIR/bench/$binary" \
-    --benchmark_min_time=2 \
-    --benchmark_out="$out" \
-    --benchmark_out_format=json \
-    "$@"
-  # A suite that ran but produced no (or an empty) JSON would silently hold
-  # the trajectory at its previous value; fail loudly instead.
-  if [[ ! -s "$out" ]]; then
-    echo "$binary did not produce $out" >&2
-    exit 1
-  fi
-  echo "wrote $out"
-}
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
+  "$BUILD_DIR/CMakeCache.txt")
+compiler=$(sed -n 's/^set(CMAKE_CXX_COMPILER_\(ID\|VERSION\) "\(.*\)")$/\2/p' \
+  "$BUILD_DIR"/CMakeFiles/*/CMakeCXXCompiler.cmake | head -n 2 | paste -sd-)
+if [[ -z "$build_type" || -z "$compiler" ]]; then
+  echo "cannot read the build type and compiler of $BUILD_DIR" >&2
+  exit 1
+fi
 
-# Runs every suite, writing the six BENCH_*.json files into $1.
+# Runs every suite, writing BENCH_<suite>.json into $1.  A suite that ran
+# but produced no (or an empty) JSON would silently hold its trajectory at
+# the previous value, so that fails loudly.
 run_all_suites() {
   local out_dir=$1
   shift
-  run_suite noc_sim_benchmarks "$out_dir/BENCH_noc.json" "$@"
-  run_suite snn_sim_benchmarks "$out_dir/BENCH_snn.json" "$@"
-  run_suite cosim_benchmarks "$out_dir/BENCH_cosim.json" "$@"
-  run_suite energy_benchmarks "$out_dir/BENCH_energy.json" "$@"
-  run_suite fault_benchmarks "$out_dir/BENCH_faults.json" "$@"
-  run_suite obs_benchmarks "$out_dir/BENCH_obs.json" "$@"
-  # Belt-and-braces: every configured output must exist and be non-empty,
-  # so adding a suite above without its run_suite line (how
-  # BENCH_faults.json went missing) can never pass again.
-  local out
-  for out in BENCH_noc.json BENCH_snn.json BENCH_cosim.json \
-      BENCH_energy.json BENCH_faults.json BENCH_obs.json; do
-    if [[ ! -s "$out_dir/$out" ]]; then
-      echo "configured benchmark output $out_dir/$out was not produced" >&2
+  local suite out
+  for suite in "${SUITES[@]}"; do
+    out="$out_dir/BENCH_${suite%%:*}.json"
+    "$BUILD_DIR/bench/${suite#*:}" \
+      --benchmark_min_time=2 \
+      --benchmark_out="$out" \
+      --benchmark_out_format=json \
+      --benchmark_context="build_type=$build_type,compiler=$compiler" \
+      "$@"
+    if [[ ! -s "$out" ]]; then
+      echo "${suite#*:} did not produce $out" >&2
       exit 1
     fi
+    echo "wrote $out"
   done
 }
 
-if [[ "$CHECK" == "1" ]]; then
-  SCRATCH=$(mktemp -d "${TMPDIR:-/tmp}/snnmap-bench-check.XXXXXX")
-  trap 'rm -rf "$SCRATCH"' EXIT
-  ATTEMPTS=${BENCH_CHECK_ATTEMPTS:-3}
-  fresh_args=()
-  status=1
-  for ((try = 1; try <= ATTEMPTS; try++)); do
-    mkdir -p "$SCRATCH/try$try"
-    run_all_suites "$SCRATCH/try$try" "$@"
-    fresh_args+=(--fresh-dir "$SCRATCH/try$try")
-    if python3 scripts/bench_gate.py "${fresh_args[@]}" --committed-dir .
-    then
-      status=0
-      break
-    fi
-    if ((try < ATTEMPTS)); then
-      echo "bench gate failed on attempt $try/$ATTEMPTS — re-measuring" \
-           "(best-per-counter across attempts)" >&2
-    fi
-  done
-  exit "$status"
-else
-  # Allow overriding individual destinations (BENCH trajectories at the
-  # repo root by default).
-  NOC_OUT=${NOC_OUT:-BENCH_noc.json}
-  SNN_OUT=${SNN_OUT:-BENCH_snn.json}
-  COSIM_OUT=${COSIM_OUT:-BENCH_cosim.json}
-  ENERGY_OUT=${ENERGY_OUT:-BENCH_energy.json}
-  FAULTS_OUT=${FAULTS_OUT:-BENCH_faults.json}
-  OBS_OUT=${OBS_OUT:-BENCH_obs.json}
-  run_suite noc_sim_benchmarks "$NOC_OUT" "$@"
-  run_suite snn_sim_benchmarks "$SNN_OUT" "$@"
-  run_suite cosim_benchmarks "$COSIM_OUT" "$@"
-  run_suite energy_benchmarks "$ENERGY_OUT" "$@"
-  run_suite fault_benchmarks "$FAULTS_OUT" "$@"
-  run_suite obs_benchmarks "$OBS_OUT" "$@"
-  for out in "$NOC_OUT" "$SNN_OUT" "$COSIM_OUT" "$ENERGY_OUT" \
-      "$FAULTS_OUT" "$OBS_OUT"; do
-    if [[ ! -s "$out" ]]; then
-      echo "configured benchmark output $out was not produced" >&2
-      exit 1
-    fi
-  done
+if [[ "$CHECK" == "0" ]]; then
+  run_all_suites . "$@"
+  exit 0
 fi
+
+SCRATCH=$(mktemp -d "${TMPDIR:-/tmp}/snnmap-bench-check.XXXXXX")
+trap 'rm -rf "$SCRATCH"' EXIT
+fresh_args=()
+for try in 1 2 3; do
+  mkdir -p "$SCRATCH/try$try"
+  run_all_suites "$SCRATCH/try$try" "$@"
+  fresh_args+=(--fresh-dir "$SCRATCH/try$try")
+  status=0
+  python3 scripts/bench_gate.py "${fresh_args[@]}" --committed-dir . \
+    || status=$?
+  if ((status != 1)); then
+    exit "$status"
+  fi
+  echo "bench gate: a rate regressed on attempt $try/3" \
+       "(best per rate across the attempts so far)" >&2
+done
+exit 1

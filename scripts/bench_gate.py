@@ -1,32 +1,36 @@
 #!/usr/bin/env python3
 """Benchmark regression gate over the committed BENCH_*.json trajectories.
 
-Compares a freshly-measured set of Google Benchmark JSON files against the
-committed copies at the repo root and fails (exit 1) when any throughput
-counter regresses by more than the tolerance (default 15%).
+Compares freshly measured Google Benchmark JSON files against the committed
+copies and fails when a suite slowed down or its work changed.
 
     scripts/bench_gate.py --fresh-dir DIR [--fresh-dir DIR2 ...]
-                          [--committed-dir DIR] [--tolerance 0.15]
-                          [--file BENCH_noc.json ...]
+                          [--committed-dir DIR]
 
-Passing --fresh-dir more than once merges the measurement attempts,
-keeping the best (largest) value per counter: on a shared VM whose
-effective clock swings between runs, a counter only regresses if *every*
-attempt is slow — a genuinely slower binary still fails all attempts.
+Build context.  The committed and the fresh files must agree on num_cpus,
+build_type and compiler (scripts/bench.sh records the last two).  When the
+committed file lacks one of them or a fresh file differs, the gate refuses
+at once, names the keys and exits 2: numbers from another build or host say
+nothing about this one, so re-baseline with scripts/bench.sh instead.
 
 Gated quantities, per benchmark entry (matched by its full "name", so every
-Arg/DenseRange leg is gated independently):
+leg is gated on its own):
 
-  * items_per_second            — the suite's primary throughput number
-  * every counter ending in `_per_sec` — the named rate counters
-    (cycles_per_sec, delivered_per_sec, events_per_sec, ...)
+  * rates: items_per_second and every counter ending in `_per_sec`.  A rate
+    more than 15% below its committed value fails (exit 1).  Passing
+    --fresh-dir more than once merges measurement attempts, keeping the best
+    (largest) value per rate: on a shared VM whose effective clock swings
+    between runs, a rate only regresses if every attempt is slow.
+  * exact counters: every other numeric counter a suite sets (router
+    traversals, spikes, footprint bytes, ...).  These are deterministic
+    work counts, so each attempt must match the committed value exactly.  A
+    change is a semantic change to explain and re-baseline (exit 2).
 
-All gated quantities are rates (bigger is better); non-rate counters
-(copies_lost, trace_recorded, ...) are diagnostics and never gated.  A
-benchmark present in the committed file but missing from the fresh run
-fails the gate: a silently dropped leg must not pass as "no regression".
-Counters new in the fresh run (absent from the committed baseline) pass —
-they become gated once the baseline is re-recorded.
+A leg present in the committed file but missing from a fresh run fails
+(exit 2): a dropped leg must not pass as "no regression".  Legs and
+counters new in the fresh run pass; they are gated once re-baselined.
+Exit 2 marks every failure re-measuring cannot change, so scripts/bench.sh
+retries only on exit 1.
 """
 
 from __future__ import annotations
@@ -36,134 +40,147 @@ import json
 import os
 import sys
 
-DEFAULT_FILES = [
-    "BENCH_noc.json",
-    "BENCH_snn.json",
-    "BENCH_cosim.json",
-    "BENCH_energy.json",
-    "BENCH_faults.json",
-    "BENCH_obs.json",
-]
+SUITE_FILES = ("BENCH_noc.json", "BENCH_snn.json", "BENCH_cosim.json")
+CONTEXT_KEYS = ("num_cpus", "build_type", "compiler")
+TOLERANCE = 0.15
+REGRESSED = 1
+REFUSED = 2
+
+# Numeric fields Google Benchmark writes into every entry; they describe the
+# run, not the work, so they are neither rates nor exact counters.
+RUN_FIELDS = frozenset({
+    "family_index", "per_family_instance_index", "repetitions",
+    "repetition_index", "threads", "iterations", "real_time", "cpu_time",
+})
 
 
-def load_benchmarks(path: str) -> dict[str, dict]:
-    """Map benchmark name -> entry for a Google Benchmark JSON file."""
+def load(path: str) -> tuple[dict, dict[str, dict]]:
+    """(context, benchmark name -> entry) of a Google Benchmark JSON file."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    out: dict[str, dict] = {}
+    entries = {}
     for entry in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions);
-        # the plain rows carry the per-run rates we gate.
-        if entry.get("run_type") == "aggregate":
-            continue
-        out[entry["name"]] = entry
+        # Aggregate rows (mean/median/stddev of --benchmark_repetitions) are
+        # not runs.
+        if entry.get("run_type") != "aggregate":
+            entries[entry["name"]] = entry
+    return doc.get("context", {}), entries
+
+
+def is_rate(key: str) -> bool:
+    return key == "items_per_second" or key.endswith("_per_sec")
+
+
+def counters(entry: dict) -> dict[str, float]:
+    """Every numeric counter of one entry, rates and exact counters."""
+    return {key: float(value) for key, value in entry.items()
+            if key not in RUN_FIELDS and isinstance(value, (int, float))
+            and not isinstance(value, bool)}
+
+
+def context_refusals(base: str, committed: dict,
+                     fresh: list[tuple[str, dict]]) -> list[str]:
+    missing = [key for key in CONTEXT_KEYS if key not in committed]
+    if missing:
+        return [f"{base}: committed file lacks context key(s) "
+                f"{', '.join(missing)}"]
+    out = []
+    for path, context in fresh:
+        differing = [f"{key} {committed[key]!r} -> {context.get(key)!r}"
+                     for key in CONTEXT_KEYS
+                     if context.get(key) != committed[key]]
+        if differing:
+            out.append(f"{path}: build context differs: "
+                       f"{'; '.join(differing)}")
     return out
 
 
-def gated_rates(entry: dict) -> dict[str, float]:
-    """The bigger-is-better rate counters of one benchmark entry."""
-    rates: dict[str, float] = {}
-    if isinstance(entry.get("items_per_second"), (int, float)):
-        rates["items_per_second"] = float(entry["items_per_second"])
-    for key, value in entry.items():
-        if key.endswith("_per_sec") and isinstance(value, (int, float)):
-            rates[key] = float(value)
-    return rates
-
-
-def best_fresh_rates(fresh_paths: list[str]) -> dict[str, dict[str, float]]:
-    """name -> counter -> best value across every existing fresh file."""
-    best: dict[str, dict[str, float]] = {}
-    for path in fresh_paths:
-        if not os.path.exists(path):
-            continue
-        for name, entry in load_benchmarks(path).items():
-            rates = best.setdefault(name, {})
-            for counter, value in gated_rates(entry).items():
-                if value > rates.get(counter, float("-inf")):
-                    rates[counter] = value
-    return best
-
-
-def check_file(committed_path: str, fresh_paths: list[str],
-               tolerance: float) -> list[str]:
-    """Return a list of failure messages for one BENCH_*.json baseline."""
-    failures: list[str] = []
-    committed = load_benchmarks(committed_path)
-    if not any(os.path.exists(p) for p in fresh_paths):
-        return [f"{os.path.basename(committed_path)}: fresh results missing"]
-    fresh = best_fresh_rates(fresh_paths)
-    base = os.path.basename(committed_path)
+def compare(base: str, committed: dict[str, dict],
+            fresh: list[dict[str, dict]]) -> tuple[list[str], list[str]]:
+    """(rate regressions, exact failures) of one suite over all attempts."""
+    regressions: list[str] = []
+    exact: list[str] = []
     for name, old_entry in sorted(committed.items()):
-        new_rates = fresh.get(name)
-        if new_rates is None:
-            failures.append(f"{base}: {name}: missing from fresh run")
+        attempts = [counters(doc[name]) for doc in fresh if name in doc]
+        if not attempts:
+            exact.append(f"{base}: {name}: missing from fresh run")
             continue
-        for counter, old_value in sorted(gated_rates(old_entry).items()):
-            if old_value <= 0:
-                continue
-            new_value = new_rates.get(counter)
-            if new_value is None:
-                failures.append(
-                    f"{base}: {name}: counter {counter} missing from "
-                    f"fresh run")
-                continue
-            ratio = new_value / old_value
-            verdict = "ok" if ratio >= 1.0 - tolerance else "REGRESSED"
-            print(f"{base}: {name}: {counter}: {old_value:.4g} -> "
-                  f"{new_value:.4g} ({ratio:.1%} of baseline, {verdict})")
-            if verdict != "ok":
-                failures.append(
-                    f"{base}: {name}: {counter} regressed to {ratio:.1%} "
-                    f"of baseline ({old_value:.4g} -> {new_value:.4g})")
-    return failures
+        for counter, old_value in sorted(counters(old_entry).items()):
+            values = [a[counter] for a in attempts if counter in a]
+            if not values:
+                exact.append(f"{base}: {name}: counter {counter} missing "
+                             f"from fresh run")
+            elif not is_rate(counter):
+                changed = sorted({v for v in values if v != old_value})
+                if changed:
+                    exact.append(f"{base}: {name}: {counter} changed "
+                                 f"{old_value:.17g} -> {changed[0]:.17g}")
+            elif old_value > 0:
+                ratio = max(values) / old_value
+                verdict = "ok" if ratio >= 1.0 - TOLERANCE else "REGRESSED"
+                print(f"{base}: {name}: {counter}: {old_value:.4g} -> "
+                      f"{max(values):.4g} ({ratio:.1%} of baseline, "
+                      f"{verdict})")
+                if verdict != "ok":
+                    regressions.append(
+                        f"{base}: {name}: {counter} regressed to "
+                        f"{ratio:.1%} of baseline")
+    return regressions, exact
+
+
+def report(title: str, lines: list[str]) -> None:
+    print(f"\nbench gate {title} ({len(lines)}):", file=sys.stderr)
+    for line in lines:
+        print(f"  {line}", file=sys.stderr)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fresh-dir", action="append", required=True,
-                        help="directory holding the freshly-measured "
-                             "BENCH_*.json files (repeatable: multiple "
-                             "attempts merge best-per-counter)")
+                        help="directory holding freshly measured "
+                             "BENCH_*.json files (repeatable: attempts "
+                             "merge best-per-rate)")
     parser.add_argument("--committed-dir", default=".",
                         help="directory holding the committed baselines "
-                             "(default: repo root)")
-    parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fractional slowdown before failing "
-                             "(default 0.15 = 15%%)")
-    parser.add_argument("--file", action="append", default=None,
-                        help="gate only these BENCH_*.json basenames "
-                             "(repeatable; default: all known suites)")
+                             "(default: the current directory)")
     args = parser.parse_args()
 
-    files = args.file if args.file else DEFAULT_FILES
-    failures: list[str] = []
-    checked = 0
-    for basename in files:
-        committed_path = os.path.join(args.committed_dir, basename)
-        if not os.path.exists(committed_path):
-            # A suite with no committed baseline yet cannot be gated; say so
-            # instead of silently shrinking coverage.
-            print(f"{basename}: no committed baseline, skipping")
+    refusals: list[str] = []
+    suites = []
+    for base in SUITE_FILES:
+        committed_path = os.path.join(args.committed_dir, base)
+        fresh_paths = [os.path.join(d, base) for d in args.fresh_dir]
+        missing = [p for p in [committed_path] + fresh_paths
+                   if not os.path.exists(p)]
+        if missing:
+            refusals.extend(f"{p}: missing" for p in missing)
             continue
-        checked += 1
-        failures.extend(
-            check_file(committed_path,
-                       [os.path.join(d, basename) for d in args.fresh_dir],
-                       args.tolerance))
-
-    if checked == 0:
-        print("bench gate: no committed baselines found — nothing gated",
+        committed_context, committed = load(committed_path)
+        fresh = [(p, *load(p)) for p in fresh_paths]
+        refusals.extend(context_refusals(
+            base, committed_context, [(p, c) for p, c, _ in fresh]))
+        suites.append((base, committed, [entries for _, _, entries in fresh]))
+    if refusals:
+        report("REFUSED", refusals)
+        print("re-baseline with scripts/bench.sh on this host and build",
               file=sys.stderr)
-        return 1
-    if failures:
-        print(f"\nbench gate FAILED ({len(failures)} regression(s), "
-              f"tolerance {args.tolerance:.0%}):", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print(f"\nbench gate passed ({checked} file(s), "
-          f"tolerance {args.tolerance:.0%})")
+        return REFUSED
+
+    regressions: list[str] = []
+    exact: list[str] = []
+    for base, committed, fresh in suites:
+        r, e = compare(base, committed, fresh)
+        regressions.extend(r)
+        exact.extend(e)
+    if exact:
+        report("FAILED: work changed", exact)
+    if regressions:
+        report(f"FAILED: rates more than {TOLERANCE:.0%} slower", regressions)
+    if exact:
+        return REFUSED
+    if regressions:
+        return REGRESSED
+    print(f"\nbench gate passed ({len(suites)} files)")
     return 0
 
 

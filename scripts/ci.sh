@@ -43,8 +43,7 @@ run_leg() {
   # skipped/ungenerated target cannot pass the leg.
   if ! grep -q "benchmark_DIR:PATH=benchmark_DIR-NOTFOUND" \
       "$build_dir/CMakeCache.txt"; then
-    for bench in noc_sim_benchmarks snn_sim_benchmarks cosim_benchmarks \
-        energy_benchmarks fault_benchmarks obs_benchmarks; do
+    for bench in noc_sim_benchmarks snn_sim_benchmarks cosim_benchmarks; do
       if [[ ! -x "$build_dir/bench/$bench" ]]; then
         echo "$bench did not build despite Google Benchmark" >&2
         exit 1

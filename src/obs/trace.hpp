@@ -6,8 +6,9 @@
 // call sites in noc::NocSimulator and cosim::CoSimulator.  Gating follows
 // the fault subsystem's discipline: every call site tests one hoisted bool
 // (`trace_active_`), so a default TraceConfig records nothing and the
-// disabled path costs a predictable branch (BM_TraceOverhead pins it
-// within noise of a trace-free build).
+// disabled path costs a predictable branch.  BM_NocFeatureOverhead in
+// bench/noc_sim_benchmarks.cpp records the dark path (`none`) and the cost
+// of tracing into a 64Ki ring (`trace`) on one session.
 //
 // Determinism contract: the recorded stream is a pure function of
 // (config, topology, traffic).  Trace events are emitted only when fabric
