@@ -142,18 +142,6 @@ void BM_NocSimulator_AblationMesh(benchmark::State& state) {
 }
 BENCHMARK(BM_NocSimulator_AblationMesh);
 
-void BM_NocSimulator_AblationMeshStreaming(benchmark::State& state) {
-  // Same workload with collect_delivered = false: aggregate NocStats only,
-  // no per-copy DeliveredSpike materialization and no log-derived metrics.
-  static const NocWorkload workload = [] {
-    NocWorkload w = ablation_mesh_workload();
-    w.config.collect_delivered = false;
-    return w;
-  }();
-  run_workload(state, workload);
-}
-BENCHMARK(BM_NocSimulator_AblationMeshStreaming);
-
 void BM_NocSimulator_MeshHotspotAdaptive(benchmark::State& state) {
   static const NocWorkload workload = hotspot_workload(
       noc::MeshRouting::kWestFirst, noc::SelectionStrategy::kBufferLevel);

@@ -3,12 +3,15 @@
 //   snnmap_cli <app> [--config file.yaml] [--partitioner pso|pacman|...]
 //              [--crossbar-size N]
 //              [--interconnect tree|mesh|ring|dragonfly|fattree]
-//              [--noc-engine cycle|event]
-//              [--chips N] [--seed S] [--csv out.csv] [--verbose]
+//              [--chips N] [--seed S] [--threads N] [--csv out.csv]
+//              [--cosim [--faults] [--retry] [--trace FILE] [--monitor]]
+//              [--stats-json FILE] [--dump-config] [--verbose]
 //
 // <app> is a Table I name (HW, IS, HD, HE, or the full names) or a synthetic
-// topology "MxN".  The effective configuration is echoed so any run can be
-// reproduced from a config file alone.
+// topology "MxN"; usage() lists every flag.  The effective configuration is
+// echoed so any run can be reproduced from a config file alone.  A --config
+// file may set only the keys of the serialized schema (core/config_io.hpp);
+// any other key exits 1 with an error naming it.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -38,7 +41,8 @@ void usage() {
   std::cerr
       << "usage: snnmap_cli <app> [options]\n"
          "  <app>                 HW | IS | HD | HE | MxN (e.g. 2x200)\n"
-         "  --config FILE         load a YAML-subset flow configuration\n"
+         "  --config FILE         load a YAML-subset flow configuration "
+         "(an unknown key is an error)\n"
          "  --partitioner NAME    pso | pacman | neutrams | annealing | "
          "genetic\n"
          "  --crossbar-size N     neurons per crossbar (architecture sized "
@@ -46,8 +50,6 @@ void usage() {
          "  --interconnect KIND   tree | mesh | ring | dragonfly | fattree\n"
          "  --chips N             split the fabric across N chips "
          "(boundary links pay off-chip energy/latency)\n"
-         "  --noc-engine KIND     cycle | event (default event) — NoC "
-         "scheduling core; bit-identical results, event skips idle spans\n"
          "  --seed S              workload + optimizer seed (default: "
          "the config's flow.seed, 42)\n"
          "  --threads N           fitness-evaluation workers (0 = all "
@@ -146,7 +148,6 @@ int main(int argc, char** argv) {
   std::uint32_t chips = 0;  // 0 = keep the config's chip count
   std::string partitioner_override;
   std::string interconnect_override;
-  std::string noc_engine_override;
   bool dump_config = false;
   bool analyze = false;
   bool cosim = false;
@@ -188,8 +189,6 @@ int main(int argc, char** argv) {
           "--crossbar-size", need_value("--crossbar-size"));
     } else if (arg == "--interconnect") {
       interconnect_override = need_value("--interconnect");
-    } else if (arg == "--noc-engine") {
-      noc_engine_override = need_value("--noc-engine");
     } else if (arg == "--chips") {
       chips = parse_uint<std::uint32_t>("--chips", need_value("--chips"));
     } else if (arg == "--seed") {
@@ -280,9 +279,6 @@ int main(int argc, char** argv) {
     if (!interconnect_override.empty()) {
       flow.arch.interconnect =
           hw::interconnect_from_string(interconnect_override);
-    }
-    if (!noc_engine_override.empty()) {
-      flow.noc.engine = noc::noc_engine_from_string(noc_engine_override);
     }
 
     // Fault rates without an explicit horizon rely on the co-simulator's

@@ -9,9 +9,12 @@
 #   scripts/bench.sh --check [extra google-benchmark flags...]
 #
 # Every suite records its build context (build_type and compiler from the
-# build tree's CMake configuration; Google Benchmark adds num_cpus).
+# build tree's CMake configuration; Google Benchmark adds num_cpus).  A
+# record runs every leg 3 times (--benchmark_repetitions=3) and the gate
+# takes each leg's median aggregate row as its baseline, so a single fast or
+# slow measurement window cannot set it.
 #
-# --check runs the same suites into a scratch directory and gates them
+# --check runs the same suites once into a scratch directory and gates them
 # against the committed files via scripts/bench_gate.py, leaving the
 # committed files untouched.  The gate refuses (exit 2) when the build
 # context differs from the committed one or a deterministic work counter
@@ -85,7 +88,8 @@ run_all_suites() {
 }
 
 if [[ "$CHECK" == "0" ]]; then
-  run_all_suites . "$@"
+  run_all_suites . --benchmark_repetitions=3 \
+    --benchmark_display_aggregates_only=true "$@"
   exit 0
 fi
 

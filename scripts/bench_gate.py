@@ -13,8 +13,10 @@ committed file lacks one of them or a fresh file differs, the gate refuses
 at once, names the keys and exits 2: numbers from another build or host say
 nothing about this one, so re-baseline with scripts/bench.sh instead.
 
-Gated quantities, per benchmark entry (matched by its full "name", so every
-leg is gated on its own):
+Gated quantities, per leg (matched by its run name, so every leg is gated
+on its own).  scripts/bench.sh records the committed files with three
+repetitions per leg, and the gate compares against each leg's `median`
+aggregate row, so one fast or slow window cannot set the baseline:
 
   * rates: items_per_second and every counter ending in `_per_sec`.  A rate
     more than 15% below its committed value fails (exit 1).  Passing
@@ -55,16 +57,22 @@ RUN_FIELDS = frozenset({
 
 
 def load(path: str) -> tuple[dict, dict[str, dict]]:
-    """(context, benchmark name -> entry) of a Google Benchmark JSON file."""
+    """(context, leg name -> entry) of a Google Benchmark JSON file.
+
+    A leg recorded with --benchmark_repetitions has one row per repetition
+    plus mean/median/stddev/cv aggregate rows; its median row stands for
+    the leg.  A leg run once has a single iteration row.
+    """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    entries = {}
+    runs, medians = {}, {}
     for entry in doc.get("benchmarks", []):
-        # Aggregate rows (mean/median/stddev of --benchmark_repetitions) are
-        # not runs.
+        name = entry.get("run_name", entry["name"])
         if entry.get("run_type") != "aggregate":
-            entries[entry["name"]] = entry
-    return doc.get("context", {}), entries
+            runs.setdefault(name, entry)
+        elif entry.get("aggregate_name") == "median":
+            medians[name] = entry
+    return doc.get("context", {}), {**runs, **medians}
 
 
 def is_rate(key: str) -> bool:

@@ -126,6 +126,53 @@ class BenchGateTest(unittest.TestCase):
         self.assertExit(proc, 2)
         self.assertIn("lacks context key(s) compiler", proc.stderr)
 
+    def test_committed_median_row_is_the_baseline(self):
+        committed = self.tmp / "committed"
+        shutil.copytree(COMMITTED, committed)
+
+        def repeated(doc):
+            # Three repetitions of BM_Noc/none plus the aggregate rows
+            # --benchmark_repetitions=3 writes; only the median is the
+            # baseline (not the first, fastest, slowest or mean window).
+            base = leg(doc, "BM_Noc/none")
+            rows = []
+            for index, rate in enumerate((200000.0, 100000.0, 60000.0)):
+                rows.append({**base, "repetitions": 3,
+                             "repetition_index": index,
+                             "items_per_second": rate})
+            for aggregate, rate in (("mean", 120000.0),
+                                    ("median", 100000.0),
+                                    ("stddev", 70000.0)):
+                rows.append({**base, "name": f"BM_Noc/none_{aggregate}",
+                             "run_type": "aggregate", "repetitions": 3,
+                             "aggregate_name": aggregate,
+                             "items_per_second": rate})
+            doc["benchmarks"] = rows + [e for e in doc["benchmarks"]
+                                        if e["name"] != "BM_Noc/none"]
+        doctor(committed / "BENCH_noc.json", repeated)
+
+        def rate(value):
+            def edit(doc):
+                leg(doc, "BM_Noc/none")["items_per_second"] = value
+            return edit
+
+        def gate(fresh):
+            return subprocess.run(
+                [sys.executable, str(GATE), "--committed-dir",
+                 str(committed), "--fresh-dir", str(fresh)],
+                capture_output=True, text=True)
+        # 90% of the median passes; 80% fails though it beats the slowest
+        # repetition.
+        self.assertExit(gate(self.fresh("a", rate(90000.0))), 0)
+        proc = gate(self.fresh("b", rate(80000.0)))
+        self.assertExit(proc, 1)
+        self.assertIn("BM_Noc/none: items_per_second regressed",
+                      proc.stderr)
+        # The median row's exact counters are gated like a single run's.
+        def more(doc):
+            leg(doc, "BM_Noc/none")["copies_delivered"] += 1
+        self.assertExit(gate(self.fresh("c", more)), 2)
+
     def test_best_of_attempts_merges_per_rate(self):
         def slow_items(doc):
             leg(doc, "BM_Noc/none")["items_per_second"] *= 0.70

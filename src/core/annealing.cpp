@@ -13,6 +13,9 @@
 namespace snnmap::core {
 namespace {
 
+constexpr double kCooling = 0.999;  ///< geometric factor per evaluated move
+constexpr double kSwapProbability = 0.3;  ///< swap two neurons vs one move
+
 /// Uniform incremental-evaluation interface over the two objectives.
 struct MoveEvaluator {
   std::function<std::int64_t(std::uint32_t, CrossbarId)> delta;
@@ -97,7 +100,7 @@ AnnealingResult anneal_chain(const snn::SnnGraph& graph,
 
   for (std::uint64_t step = 0; step < config.moves; ++step) {
     ++result.moves_proposed;
-    const bool do_swap = rng.chance(config.swap_probability);
+    const bool do_swap = rng.chance(kSwapProbability);
     if (do_swap) {
       // Swap the crossbars of two neurons (capacity preserved trivially).
       const auto a = static_cast<std::uint32_t>(rng.below(n));
@@ -143,7 +146,7 @@ AnnealingResult anneal_chain(const snn::SnnGraph& graph,
       result.best_cost = current_cost;
       snapshot_best();
     }
-    temp *= config.cooling;
+    temp *= kCooling;
     if (history_stride && step % history_stride == 0) {
       result.history.push_back(result.best_cost);
     }

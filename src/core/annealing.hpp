@@ -31,8 +31,6 @@ namespace snnmap::core {
 struct AnnealingConfig {
   std::uint64_t moves = 200'000;    ///< proposed moves
   double initial_temp = 0.0;        ///< 0 = auto-calibrate from move deltas
-  double cooling = 0.999;           ///< geometric factor per accepted batch
-  double swap_probability = 0.3;    ///< swap two neurons vs single move
   Objective objective = Objective::kAerPackets;
   std::uint64_t seed = 42;
   /// Independent restart chains; chain 0 reuses `seed` verbatim, so

@@ -19,7 +19,27 @@ Objective objective_from_string(const std::string& name) {
   throw std::invalid_argument("unknown objective: '" + name + "'");
 }
 
+namespace {
+
+/// Throws std::invalid_argument naming the first key of `config` that
+/// neither mapping_flow_to_config nor cosim_to_config writes.  One file
+/// feeds both loaders, so each accepts the other's keys; a misspelled or
+/// retired key must not load as if it were absent.
+void reject_unknown_keys(const util::Config& config) {
+  util::Config known;
+  mapping_flow_to_config(MappingFlowConfig{}, known);
+  cosim_to_config(cosim::CoSimConfig{}, known);
+  for (const std::string& key : config.keys()) {
+    if (!known.contains(key)) {
+      throw std::invalid_argument("config: unknown key '" + key + "'");
+    }
+  }
+}
+
+}  // namespace
+
 MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
+  reject_unknown_keys(config);
   MappingFlowConfig flow;
 
   // -- architecture
@@ -60,12 +80,7 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   if (const auto routing = config.get_string("noc.mesh_routing")) {
     flow.mesh_routing = noc::mesh_routing_from_string(*routing);
   }
-  if (const auto engine = config.get_string("noc.engine")) {
-    flow.noc.engine = noc::noc_engine_from_string(*engine);
-  }
   flow.noc.max_cycles = config.uint_or("noc.max_cycles", flow.noc.max_cycles);
-  flow.noc.collect_delivered = config.bool_or("noc.collect_delivered",
-                                              flow.noc.collect_delivered);
   flow.noc.offchip_link_latency = config.uint_or(
       "noc.offchip_link_latency", flow.noc.offchip_link_latency);
 
@@ -108,10 +123,6 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   // -- PSO
   flow.pso.swarm_size = config.uint_or("pso.swarm_size", flow.pso.swarm_size);
   flow.pso.iterations = config.uint_or("pso.iterations", flow.pso.iterations);
-  flow.pso.inertia = config.double_or("pso.inertia", flow.pso.inertia);
-  flow.pso.phi1 = config.double_or("pso.phi1", flow.pso.phi1);
-  flow.pso.phi2 = config.double_or("pso.phi2", flow.pso.phi2);
-  flow.pso.v_max = config.double_or("pso.v_max", flow.pso.v_max);
   flow.pso.seed_with_baselines = config.bool_or(
       "pso.seed_with_baselines", flow.pso.seed_with_baselines);
   if (const auto objective = config.get_string("pso.objective")) {
@@ -127,10 +138,6 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   // -- annealing / genetic (ablation partitioners)
   flow.annealing.moves = config.uint_or(
       "annealing.moves", flow.annealing.moves);
-  flow.annealing.cooling =
-      config.double_or("annealing.cooling", flow.annealing.cooling);
-  flow.annealing.swap_probability = config.double_or(
-      "annealing.swap_probability", flow.annealing.swap_probability);
   flow.annealing.restarts = config.uint_or(
       "annealing.restarts", flow.annealing.restarts);
   flow.annealing.threads = config.uint_or(
@@ -139,8 +146,6 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
       "genetic.population", flow.genetic.population);
   flow.genetic.generations = config.uint_or(
       "genetic.generations", flow.genetic.generations);
-  flow.genetic.mutation_rate =
-      config.double_or("genetic.mutation_rate", flow.genetic.mutation_rate);
   flow.genetic.threads = config.uint_or(
       "genetic.threads", flow.genetic.threads);
 
@@ -158,6 +163,7 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
 
 cosim::CoSimConfig cosim_from_config(const util::Config& config,
                                      cosim::CoSimConfig base) {
+  reject_unknown_keys(config);
   base.cycles_per_timestep = config.uint_or(
       "cosim.cycles_per_timestep", base.cycles_per_timestep);
   // "unbounded" (the default) serializes as the sentinel; any positive
@@ -172,18 +178,10 @@ cosim::CoSimConfig cosim_from_config(const util::Config& config,
   }
   base.dvfs.min_scale =
       config.double_or("dvfs.min_scale", base.dvfs.min_scale);
-  base.dvfs.low_utilization =
-      config.double_or("dvfs.low_utilization", base.dvfs.low_utilization);
-  base.dvfs.high_utilization =
-      config.double_or("dvfs.high_utilization", base.dvfs.high_utilization);
-  base.dvfs.slack_fraction =
-      config.double_or("dvfs.slack_fraction", base.dvfs.slack_fraction);
   // -- AER retry protocol
   base.retry.enabled = config.bool_or("retry.enabled", base.retry.enabled);
   base.retry.max_retries = config.uint_or(
       "retry.max_retries", base.retry.max_retries);
-  base.retry.backoff_windows = config.uint_or(
-      "retry.backoff_windows", base.retry.backoff_windows);
   base.retry.timeout_windows = config.uint_or(
       "retry.timeout_windows", base.retry.timeout_windows);
   return base;
@@ -198,16 +196,8 @@ void cosim_to_config(const cosim::CoSimConfig& cosim, util::Config& config) {
              std::to_string(cosim.injection_jitter_cycles));
   config.set("dvfs.policy", cosim::to_string(cosim.dvfs.kind));
   config.set("dvfs.min_scale", std::to_string(cosim.dvfs.min_scale));
-  config.set("dvfs.low_utilization",
-             std::to_string(cosim.dvfs.low_utilization));
-  config.set("dvfs.high_utilization",
-             std::to_string(cosim.dvfs.high_utilization));
-  config.set("dvfs.slack_fraction",
-             std::to_string(cosim.dvfs.slack_fraction));
   config.set("retry.enabled", cosim.retry.enabled ? "true" : "false");
   config.set("retry.max_retries", std::to_string(cosim.retry.max_retries));
-  config.set("retry.backoff_windows",
-             std::to_string(cosim.retry.backoff_windows));
   config.set("retry.timeout_windows",
              std::to_string(cosim.retry.timeout_windows));
 }
@@ -233,10 +223,7 @@ void mapping_flow_to_config(const MappingFlowConfig& flow,
   config.set("noc.multicast", flow.noc.multicast ? "true" : "false");
   config.set("noc.selection", noc::to_string(flow.noc.selection));
   config.set("noc.mesh_routing", noc::to_string(flow.mesh_routing));
-  config.set("noc.engine", noc::to_string(flow.noc.engine));
   config.set("noc.max_cycles", std::to_string(flow.noc.max_cycles));
-  config.set("noc.collect_delivered",
-             flow.noc.collect_delivered ? "true" : "false");
   config.set("noc.offchip_link_latency",
              std::to_string(flow.noc.offchip_link_latency));
 
@@ -273,10 +260,6 @@ void mapping_flow_to_config(const MappingFlowConfig& flow,
 
   config.set("pso.swarm_size", std::to_string(flow.pso.swarm_size));
   config.set("pso.iterations", std::to_string(flow.pso.iterations));
-  config.set("pso.inertia", std::to_string(flow.pso.inertia));
-  config.set("pso.phi1", std::to_string(flow.pso.phi1));
-  config.set("pso.phi2", std::to_string(flow.pso.phi2));
-  config.set("pso.v_max", std::to_string(flow.pso.v_max));
   config.set("pso.seed_with_baselines",
              flow.pso.seed_with_baselines ? "true" : "false");
   config.set("pso.objective", to_string(flow.pso.objective));
@@ -287,16 +270,11 @@ void mapping_flow_to_config(const MappingFlowConfig& flow,
   config.set("pso.threads", std::to_string(flow.pso.threads));
 
   config.set("annealing.moves", std::to_string(flow.annealing.moves));
-  config.set("annealing.cooling", std::to_string(flow.annealing.cooling));
-  config.set("annealing.swap_probability",
-             std::to_string(flow.annealing.swap_probability));
   config.set("annealing.restarts", std::to_string(flow.annealing.restarts));
   config.set("annealing.threads", std::to_string(flow.annealing.threads));
   config.set("genetic.population", std::to_string(flow.genetic.population));
   config.set("genetic.generations",
              std::to_string(flow.genetic.generations));
-  config.set("genetic.mutation_rate",
-             std::to_string(flow.genetic.mutation_rate));
   config.set("genetic.threads", std::to_string(flow.genetic.threads));
 
   config.set("flow.partitioner", to_string(flow.partitioner));

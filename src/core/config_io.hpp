@@ -35,9 +35,12 @@
 //     injection_jitter_cycles: 32
 //     seed: 42
 //
-// Unknown keys are ignored; absent keys keep their defaults.  The `energy:`
-// section binds to the one shared hw::EnergyModel (MappingFlowConfig's
-// noc.energy — there is no second flow-level copy to drift from it).
+// Absent keys keep their defaults.  A key outside the serialized schema
+// (what mapping_flow_to_config and cosim_to_config write) throws
+// std::invalid_argument naming it, so a misspelled or retired key cannot
+// load as if it were absent.  The `energy:` section binds to the one
+// shared hw::EnergyModel (MappingFlowConfig's noc.energy — there is no
+// second flow-level copy to drift from it).
 // The closed-loop co-simulation knobs bind under `cosim:` and `dvfs:`
 // sections:
 //
@@ -48,9 +51,6 @@
 //   dvfs:
 //     policy: fixed               # fixed | utilization-threshold | deadline-slack
 //     min_scale: 0.25
-//     low_utilization: 0.25
-//     high_utilization: 0.75
-//     slack_fraction: 0.5
 //
 // Fault injection binds under `faults:` (into the flow's NoC config; the
 // all-zero defaults keep the model inert) and the AER retry protocol under
@@ -68,7 +68,6 @@
 //   retry:
 //     enabled: false
 //     max_retries: 3
-//     backoff_windows: 1          # doubles per attempt
 //     timeout_windows: 8
 //
 // Observability binds under `trace:` and `monitor:` (into the flow's NoC
@@ -100,14 +99,16 @@ PartitionerKind partitioner_from_string(const std::string& name);
 /// Parses "aer-packets" / "cut-spikes"; throws on unknown names.
 Objective objective_from_string(const std::string& name);
 
-/// Builds a flow config from a parsed file, starting from defaults.
+/// Builds a flow config from a parsed file, starting from defaults.  Throws
+/// std::invalid_argument on a key neither *_to_config function writes.
 MappingFlowConfig mapping_flow_from_config(const util::Config& config);
 
 /// Serializes the effective configuration (round-trips via the parser).
 void mapping_flow_to_config(const MappingFlowConfig& flow,
                             util::Config& config);
 
-/// Overlays the `cosim.*` keys onto `base` (absent keys keep base values).
+/// Overlays the `cosim.*` keys onto `base` (absent keys keep base values);
+/// unknown keys throw as in mapping_flow_from_config.
 /// Only the co-sim-specific scalars are bound here; the embedded snn / noc
 /// sub-configs stay whatever the caller put in `base` — the CLI derives
 /// them from the app's simulation config and the flow's NoC section.

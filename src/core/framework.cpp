@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/neutrams.hpp"
 #include "core/pacman.hpp"
@@ -60,21 +59,24 @@ std::vector<noc::SpikePacketEvent> build_traffic(
   const auto& part = partition.assignment();
   const auto& offsets = graph.fanout_offsets();
   const auto& targets = graph.fanout_targets();
-  // snnmap-lint: allow(unordered-iteration) -- iteration only fills
-  // dest_tiles, which is sorted before use; order cannot reach traffic.
-  std::unordered_set<CrossbarId> remote;
+  // seen[c] == i + 1 once neuron i's fan-out has listed crossbar c, so
+  // each remote crossbar is listed once per neuron.
+  std::vector<std::uint32_t> seen(partition.crossbar_count(), 0);
+  std::vector<CrossbarId> remote;
   for (std::uint32_t i = 0; i < graph.neuron_count(); ++i) {
     const auto& train = graph.spike_train(i);
     if (train.empty()) continue;
     remote.clear();
     for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
       const CrossbarId c = part[targets[k]];
-      if (c != part[i]) remote.insert(c);
+      if (c != part[i] && seen[c] != i + 1) {
+        seen[c] = i + 1;
+        remote.push_back(c);
+      }
     }
     if (remote.empty()) continue;  // purely local fan-out
     std::vector<noc::TileId> dest_tiles;
     dest_tiles.reserve(remote.size());
-    // snnmap-lint: allow(unordered-iteration) -- sorted two lines below.
     for (const CrossbarId c : remote) dest_tiles.push_back(placement[c]);
     std::sort(dest_tiles.begin(), dest_tiles.end());
     for (std::size_t s = 0; s < train.size(); ++s) {

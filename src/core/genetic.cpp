@@ -11,6 +11,8 @@
 namespace snnmap::core {
 namespace {
 
+constexpr double kMutationRate = 0.02;  ///< per-gene reassignment probability
+
 using Genome = std::vector<CrossbarId>;
 
 /// Moves overflow genes to the emptiest feasible crossbar (cheap repair; the
@@ -106,7 +108,7 @@ GeneticResult genetic_partition(const snn::SnnGraph& graph,
         }
       }
       for (std::uint32_t i = 0; i < n; ++i) {
-        if (rng.chance(config.mutation_rate)) {
+        if (rng.chance(kMutationRate)) {
           child[i] = static_cast<CrossbarId>(rng.below(c));
         }
       }

@@ -18,7 +18,6 @@ struct GeneticConfig {
   std::uint32_t population = 100;
   std::uint32_t generations = 100;
   double crossover_rate = 0.9;
-  double mutation_rate = 0.02;   ///< per-gene reassignment probability
   std::uint32_t tournament = 3;
   bool seed_with_baselines = true;
   Objective objective = Objective::kAerPackets;

@@ -13,6 +13,12 @@
 namespace snnmap::core {
 namespace {
 
+// Eq. 1 constants: the standard Eberhart-Kennedy setting.
+constexpr double kInertia = 0.72;  ///< velocity memory (omega)
+constexpr double kPhi1 = 1.49;     ///< cognitive constant
+constexpr double kPhi2 = 1.49;     ///< social constant
+constexpr double kVMax = 4.0;      ///< velocity clamp (sigmoid saturation)
+
 double sigmoid(double v) noexcept { return 1.0 / (1.0 + std::exp(-v)); }
 
 /// Seed of particle `pi`'s random stream at swarm step `iter` (0 is the
@@ -45,14 +51,6 @@ PsoPartitioner::PsoPartitioner(const snn::SnnGraph& graph,
   }
   if (config_.iterations == 0) {
     throw std::invalid_argument("PsoPartitioner: iterations must be >= 1");
-  }
-  if (!(config_.v_max > 0.0)) {  // also rejects NaN
-    throw std::invalid_argument("PsoPartitioner: v_max must be > 0");
-  }
-  if (!std::isfinite(config_.inertia) || !std::isfinite(config_.phi1) ||
-      !std::isfinite(config_.phi2)) {
-    throw std::invalid_argument(
-        "PsoPartitioner: inertia, phi1 and phi2 must be finite");
   }
 }
 
@@ -177,22 +175,21 @@ void PsoPartitioner::update_particle(Particle& p,
   for (std::uint32_t i = 0; i < n; ++i) {
     float* v = p.velocity.data() + static_cast<std::size_t>(i) * c;
     for (std::uint32_t k = 0; k < c; ++k) {
-      acc[k] = config_.inertia * static_cast<double>(v[k]);
+      acc[k] = kInertia * static_cast<double>(v[k]);
     }
     const CrossbarId xi = p.position[i];
     const CrossbarId pbi = p.best_position.empty() ? xi : p.best_position[i];
     const CrossbarId gbi = gbest[i];
     if (pbi != xi) {
-      acc[xi] -= config_.phi1 * rng.uniform();
-      acc[pbi] += config_.phi1 * rng.uniform();
+      acc[xi] -= kPhi1 * rng.uniform();
+      acc[pbi] += kPhi1 * rng.uniform();
     }
     if (gbi != xi) {
-      acc[xi] -= config_.phi2 * rng.uniform();
-      acc[gbi] += config_.phi2 * rng.uniform();
+      acc[xi] -= kPhi2 * rng.uniform();
+      acc[gbi] += kPhi2 * rng.uniform();
     }
     for (std::uint32_t k = 0; k < c; ++k) {
-      v[k] = static_cast<float>(
-          std::clamp(acc[k], -config_.v_max, config_.v_max));
+      v[k] = static_cast<float>(std::clamp(acc[k], -kVMax, kVMax));
     }
   }
   binarize_and_repair(p, rng, model, scratch);

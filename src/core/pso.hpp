@@ -41,10 +41,6 @@ namespace snnmap::core {
 struct PsoConfig {
   std::uint32_t swarm_size = 100;   ///< np (paper explores 10..1000, Fig. 7)
   std::uint32_t iterations = 100;   ///< fixed to 100 in the paper
-  double inertia = 0.72;            ///< velocity memory (omega)
-  double phi1 = 1.49;               ///< cognitive constant
-  double phi2 = 1.49;               ///< social constant
-  double v_max = 4.0;               ///< velocity clamp (sigmoid saturation)
   bool seed_with_baselines = true;  ///< include PACMAN/NEUTRAMS particles
   /// Fitness definition (see Objective); AER packets by default.
   Objective objective = Objective::kAerPackets;

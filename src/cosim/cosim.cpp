@@ -15,15 +15,19 @@
 namespace snnmap::cosim {
 namespace {
 
+// DVFS policy thresholds (see DvfsPolicy): busy fractions for the
+// utilization-threshold policy, an idle fraction for deadline-slack.
+constexpr double kLowUtilization = 0.25;
+constexpr double kHighUtilization = 0.75;
+constexpr double kSlackFraction = 0.5;
+/// Windows before an AER copy's first retransmit; doubles per attempt.
+constexpr std::uint64_t kBackoffWindows = 1;
+
 /// Rewrites `config.noc` into the effective lockstep interconnect config
 /// (what CoSimulator::config() reports and the internal NocSimulator
 /// runs).  Runs before any validation, so it must tolerate garbage inputs
 /// (the member constructors reject them right after).
 CoSimConfig with_lockstep_noc(CoSimConfig config) {
-  // The closed loop *consumes* the delivery log; streaming mode would
-  // starve it.  Forced rather than rejected: every other NocConfig field
-  // keeps its meaning.
-  config.noc.collect_delivered = true;
   // max_cycles is a drain bound for one-shot traces; in lockstep mode the
   // virtual timeline is steps x cycles_per_timestep by construction, so a
   // long-but-healthy run must not trip it.  Raise it to cover the run (a
@@ -111,31 +115,14 @@ CoSimulator::CoSimulator(snn::Network& network,
         "CoSimulator: dvfs.min_scale must be in (0, 1] (the fabric cannot "
         "run at zero or above-nominal frequency)");
   }
-  if (!(dvfs.low_utilization >= 0.0) ||
-      !(dvfs.low_utilization < dvfs.high_utilization) ||
-      !(dvfs.high_utilization <= 1.0)) {
-    throw std::invalid_argument(
-        "CoSimulator: dvfs utilization thresholds must satisfy 0 <= low < "
-        "high <= 1");
-  }
-  if (!(dvfs.slack_fraction >= 0.0) || !(dvfs.slack_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "CoSimulator: dvfs.slack_fraction must be in [0, 1]");
-  }
-  // Retry protocol sanity: an enabled protocol with a zero retry budget,
-  // zero backoff, or zero timeout is a misconfiguration, not a policy.
+  // Retry protocol sanity: an enabled protocol with a zero retry budget
+  // or zero timeout is a misconfiguration, not a policy.
   const AerRetryConfig& retry = config_.retry;
   if (retry.enabled) {
     if (retry.max_retries == 0) {
       throw std::invalid_argument(
           "CoSimulator: retry.max_retries must be >= 1 when the retry "
           "protocol is enabled (use enabled = false to disable retries)");
-    }
-    if (retry.backoff_windows == 0) {
-      throw std::invalid_argument(
-          "CoSimulator: retry.backoff_windows must be >= 1 when the retry "
-          "protocol is enabled (a zero backoff would retransmit inside the "
-          "window the copy is still in flight in)");
     }
     if (retry.timeout_windows == 0) {
       throw std::invalid_argument(
@@ -356,16 +343,16 @@ CoSimResult CoSimulator::run() {
     switch (dvfs.kind) {
       case DvfsPolicyKind::kFixed: return 1.0;
       case DvfsPolicyKind::kUtilizationThreshold:
-        if (prev_utilization > dvfs.high_utilization) {
+        if (prev_utilization > kHighUtilization) {
           return std::min(1.0, current * 2.0);
         }
-        if (prev_utilization < dvfs.low_utilization) {
+        if (prev_utilization < kLowUtilization) {
           return std::max(dvfs.min_scale, current * 0.5);
         }
         return current;
       case DvfsPolicyKind::kDeadlineSlack:
         if (prev_pressure) return 1.0;  // missed timing: back to nominal
-        if (1.0 - prev_utilization >= dvfs.slack_fraction) {
+        if (1.0 - prev_utilization >= kSlackFraction) {
           return std::max(dvfs.min_scale, current * 0.5);
         }
         return current;
@@ -557,7 +544,7 @@ CoSimResult CoSimulator::run() {
           if (landed_[k] != 0) continue;
           pending.emplace(
               RetryKey{i, t, dest_tiles_[k]},
-              RetryState{0, t + retry.backoff_windows,
+              RetryState{0, t + kBackoffWindows,
                          t + retry.timeout_windows});
         }
       }
@@ -598,7 +585,7 @@ CoSimResult CoSimulator::run() {
                             std::get<2>(key), st.attempts);
             }
             st.next_retry =
-                t + (static_cast<std::uint64_t>(retry.backoff_windows)
+                t + (kBackoffWindows
                      << std::min<std::uint32_t>(st.attempts, 20U));
           }
           ++it;

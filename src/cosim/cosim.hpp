@@ -79,40 +79,35 @@ DvfsPolicyKind dvfs_policy_from_string(const std::string& name);
 /// transit stretch, which the fidelity report prices via the energy-delay
 /// product.  Everything is deterministic: decisions depend only on the
 /// deterministic simulation state.
+///
+/// Utilization-threshold policy: halve the frequency when the previous
+/// window's busy fraction drops below 0.25, double it (up to nominal) above
+/// 0.75.  Deadline-slack policy: halve the frequency when the previous
+/// window ended drained with an idle fraction of at least 0.5; any deadline
+/// miss, receive drop, or end-of-window backlog snaps the fabric back to
+/// nominal.
 struct DvfsPolicy {
   DvfsPolicyKind kind = DvfsPolicyKind::kFixed;
   /// Frequency floor as a fraction of nominal; must be in (0, 1].
   double min_scale = 0.25;
-  /// Utilization-threshold policy: halve the frequency when the previous
-  /// window's busy fraction drops below `low_utilization`, double it (up
-  /// to nominal) above `high_utilization`.  0 <= low < high <= 1.
-  double low_utilization = 0.25;
-  double high_utilization = 0.75;
-  /// Deadline-slack policy: halve the frequency when the previous window
-  /// ended drained with an idle fraction of at least `slack_fraction`;
-  /// any deadline miss, receive drop, or end-of-window backlog snaps the
-  /// fabric back to nominal.  Must be in [0, 1].
-  double slack_fraction = 0.5;
 };
 
 /// AER-boundary retry protocol: the source crossbar keeps a bounded retry
 /// entry per (packet, destination) copy that failed to land within its
-/// emission window, retransmits with exponential backoff, and abandons the
-/// delivery after a timeout (the lost synaptic events are accounted in
-/// ResilienceReport::spikes_lost_timeout).  Retransmits re-enter the fabric
-/// as fresh packets carrying the *original* emission step, so an arrival is
-/// always matched back to the spike it carries; the receiver discards
-/// duplicates (original + retry both arriving) and stale copies (arriving
-/// after the source gave up).  Disabled by default — the PR 5 lockstep
-/// behavior is bit-identical when `enabled` is false.
+/// emission window, retransmits with exponential backoff (the first retry
+/// one window after the miss, the next ones 2, 4, ... windows apart), and
+/// abandons the delivery after a timeout (the lost synaptic events are
+/// accounted in ResilienceReport::spikes_lost_timeout).  Retransmits
+/// re-enter the fabric as fresh packets carrying the *original* emission
+/// step, so an arrival is always matched back to the spike it carries; the
+/// receiver discards duplicates (original + retry both arriving) and stale
+/// copies (arriving after the source gave up).  Disabled by default — the
+/// lockstep behavior is bit-identical when `enabled` is false.
 struct AerRetryConfig {
   bool enabled = false;
   /// Retransmits attempted per (packet, destination) copy; >= 1 when
   /// enabled (a retry protocol that never retries is a misconfiguration).
   std::uint32_t max_retries = 3;
-  /// Windows before the first retransmit; doubles per attempt
-  /// (backoff, 2*backoff, 4*backoff, ...).  Must be >= 1 when enabled.
-  std::uint32_t backoff_windows = 1;
   /// Windows a retry entry stays open before the delivery is declared
   /// lost.  Must be >= 1 when enabled.
   std::uint32_t timeout_windows = 8;
@@ -137,11 +132,10 @@ struct FailureRemapPolicy {
 struct CoSimConfig {
   /// SNN step engine settings (dt, duration, seed, synapse model, STDP).
   snn::SimulationConfig snn;
-  /// Interconnect settings.  collect_delivered is forced on — the closed
-  /// loop *is* a consumer of the delivery log — and max_cycles is raised
-  /// (never lowered) to cover the run's whole lockstep timeline of
-  /// steps x cycles_per_timestep virtual cycles, so it stays a safety
-  /// bound rather than a mid-run cliff.
+  /// Interconnect settings.  max_cycles is raised (never lowered) to cover
+  /// the run's whole lockstep timeline of steps x cycles_per_timestep
+  /// virtual cycles, so it stays a safety bound rather than a mid-run
+  /// cliff.
   noc::NocConfig noc;
   /// Interconnect cycles budgeted per SNN timestep (the time-multiplexing
   /// ratio; hw::Architecture::cycles_per_ms * dt_ms for a 1 ms step).
@@ -207,9 +201,8 @@ class CoSimulator {
   /// std::logic_error.
   CoSimResult run();
 
-  /// The *effective* configuration: `noc.collect_delivered` forced on and
-  /// `noc.max_cycles` raised to the lockstep timeline, exactly as the
-  /// internal NocSimulator runs it.
+  /// The *effective* configuration: `noc.max_cycles` raised to the
+  /// lockstep timeline, exactly as the internal NocSimulator runs it.
   const CoSimConfig& config() const noexcept { return config_; }
   std::uint64_t total_steps() const noexcept { return steps_; }
 

@@ -3,9 +3,9 @@
 // "A spike is encoded uniquely on the global synapse interconnect in terms of
 // its source and time of spike."  We pack (source neuron, source crossbar,
 // emission cycle) into one 64-bit word: 20 bits neuron, 12 bits crossbar,
-// 32 bits timestamp.  The packing is exercised end-to-end by the NoC
-// simulator (every injected packet is encoded, every delivery decoded) so the
-// protocol layer is genuinely on the hot path, as on real hardware.
+// 32 bits timestamp.  The NoC simulator does not pack flits: a noc::Flit
+// carries the same fields unpacked at full width, so this codec only pins
+// the hardware word layout (tests/noc/aer_test.cpp).
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,8 @@
 // router-level multicast (the paper's Noxim++ adds a "multicast feature,
 // where spike packets can be communicated to a selected subset of crossbars").
 //
-// Packets are single-flit (an AER word fits one flit), store-and-forward.
+// Packets are single-flit (on hardware an AER word fits one flit; a Flit
+// carries the word's fields unpacked), store-and-forward.
 // A multicast flit occupies its input-queue head until every output port its
 // destination set requires has been served; each served port receives an
 // independent copy carrying the subset of destinations routed through it.
@@ -17,7 +18,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "noc/aer.hpp"
 #include "noc/topology.hpp"
 
 namespace snnmap::noc {
@@ -26,7 +26,6 @@ namespace snnmap::noc {
 /// the simulator's destination arena; a flit carries only its range, so
 /// forking a multicast subset never allocates.
 struct Flit {
-  AerWord payload;                    ///< encoded AER word
   std::uint32_t source_neuron = 0;
   TileId source_tile = 0;
   std::uint64_t emit_cycle = 0;
@@ -45,6 +44,8 @@ struct Flit {
   /// selectable candidates).  0 = not yet routed here; forwarding resets it.
   std::uint64_t route_mask = 0;
 };
+// Every buffered flit and forked copy is one of these: keep it small.
+static_assert(sizeof(Flit) == 56);
 
 /// Per-router state: one FIFO per input (inter-router ports in neighbor
 /// order, plus one injection queue at index port_count), and a round-robin

@@ -55,13 +55,6 @@ const char* to_string(NocEngine engine) noexcept {
   return "?";
 }
 
-NocEngine noc_engine_from_string(const std::string& name) {
-  if (name == "cycle") return NocEngine::kCycle;
-  if (name == "event") return NocEngine::kEvent;
-  throw std::invalid_argument("NocEngine: unknown engine \"" + name +
-                              "\" (expected \"cycle\" or \"event\")");
-}
-
 NocSimulator::NocSimulator(Topology topology, NocConfig config)
     : topology_(std::move(topology)), config_(config) {
   if (config_.buffer_depth == 0) {
@@ -367,10 +360,8 @@ void NocSimulator::enqueue(std::vector<SpikePacketEvent> traffic) {
             });
   reserve_more(arena_, new_dests * 2);
   hop_port_.reserve(arena_.capacity());
-  if (config_.collect_delivered) {
-    // Exactly one delivered copy per (event, destination) on a drained run.
-    reserve_more(delivered_, new_dests);
-  }
+  // Exactly one delivered copy per (event, destination) on a drained run.
+  reserve_more(delivered_, new_dests);
 }
 
 std::uint32_t& NocSimulator::sequence_of(std::uint32_t neuron) {
@@ -398,9 +389,6 @@ Flit NocSimulator::make_flit(const SpikePacketEvent& ev, const TileId* dests,
   arena_.insert(arena_.end(), dests, dests + count);
   hop_port_.resize(arena_.size());
   arena_live_ += count;
-  f.payload = aer_encode({ev.source_neuron & kAerMaxNeuron,
-                          ev.source_tile & kAerMaxCrossbar,
-                          aer_timestamp(ev.emit_cycle)});
   return f;
 }
 
@@ -619,9 +607,7 @@ void NocSimulator::simulate_cycle() {
             d.emit_step = head.emit_step;
             d.recv_cycle = now + 1;
             d.sequence = head.sequence;
-            if (config_.collect_delivered) {
-              delivered_.push_back(d);
-            }
+            delivered_.push_back(d);
             ++stats_.copies_delivered;
             stats_.latency_cycles.add(static_cast<double>(d.latency()));
             stats_.max_latency_cycles =
@@ -1101,9 +1087,7 @@ NocRunResult NocSimulator::finish() {
   // the per-window sample vector moves out instead of deep-copying.
   result.window_energy = std::move(window_report_);
   result.delivered = drain_delivered();
-  if (config_.collect_delivered) {
-    result.snn = compute_snn_metrics(result.delivered);
-  }
+  result.snn = compute_snn_metrics(result.delivered);
   return result;
 }
 

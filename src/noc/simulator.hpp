@@ -90,8 +90,6 @@ enum class NocEngine : std::uint8_t {
 };
 
 const char* to_string(NocEngine engine) noexcept;
-/// Parses "cycle" / "event"; throws std::invalid_argument otherwise.
-NocEngine noc_engine_from_string(const std::string& name);
 
 struct NocConfig {
   std::uint32_t buffer_depth = 4;  ///< flits per inter-router input FIFO
@@ -116,11 +114,6 @@ struct NocConfig {
   /// virtual time is not bounded: a drained session may fast-forward a
   /// bounded window's span past max_cycles without halting.
   std::uint64_t max_cycles = 20'000'000;
-  /// Streaming-stats mode: when false, the run aggregates NocStats online
-  /// but does not materialize a DeliveredSpike per delivered copy (and the
-  /// log-derived SnnMetrics stay zero).  Use for large traces where only
-  /// the conventional metrics matter.
-  bool collect_delivered = true;
   /// Seeded fault injection (see noc/faults.hpp).  Default: inert — no
   /// fault branch in the cycle loop is ever taken and every fault-free
   /// golden stream is preserved bit for bit.
@@ -138,9 +131,8 @@ struct NocConfig {
 
 struct NocRunResult {
   NocStats stats;
-  /// Zero when the run used collect_delivered = false.
+  /// Computed from `delivered` (copies drained mid-session are not in it).
   SnnMetrics snn;
-  /// Empty when the run used collect_delivered = false.
   std::vector<DeliveredSpike> delivered;
   /// Per-window activity/energy accounting: one sample per
   /// close_energy_window() call plus the trailing span finish() closes
@@ -210,7 +202,7 @@ class NocSimulator {
   /// Moves out the deliveries observed since the last drain (delivery
   /// order).  Deliveries drained here are no longer visible to the
   /// log-derived SnnMetrics finish() computes; aggregate NocStats are
-  /// unaffected.  Empty in streaming mode (collect_delivered = false).
+  /// unaffected.
   std::vector<DeliveredSpike> drain_delivered();
 
   /// Closes the current energy-accounting window at now(): snapshots the

@@ -1,11 +1,9 @@
 #include "snn/graph.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace snnmap::snn {
@@ -133,46 +131,46 @@ SnnGraph SnnGraph::load(std::istream& in) {
   if (!(in >> n >> e >> duration)) {
     throw std::runtime_error("SnnGraph: bad size line");
   }
+  // The counts come from the stream: every record is read before it is
+  // stored, so a corrupt count fails as truncation instead of sizing an
+  // allocation.
   std::size_t ngroups = 0;
   in >> ngroups;
-  std::vector<std::string> names(ngroups);
-  std::vector<std::uint32_t> firsts(ngroups);
+  std::vector<std::string> names;
+  std::vector<std::uint32_t> firsts;
   for (std::size_t g = 0; g < ngroups; ++g) {
-    in >> firsts[g];
+    std::uint32_t first = 0;
+    std::string name;
+    if (!(in >> first)) {
+      throw std::runtime_error("SnnGraph: truncated group list");
+    }
     in >> std::ws;
-    std::getline(in, names[g]);
+    std::getline(in, name);
+    firsts.push_back(first);
+    names.push_back(std::move(name));
   }
   if (ngroups) firsts.push_back(n);
-  std::vector<GraphEdge> edges(e);
-  for (auto& edge : edges) {
+  std::vector<GraphEdge> edges;
+  for (std::size_t k = 0; k < e; ++k) {
+    GraphEdge edge;
     if (!(in >> edge.pre >> edge.post >> edge.weight)) {
       throw std::runtime_error("SnnGraph: truncated edge list");
     }
+    edges.push_back(edge);
   }
-  std::vector<SpikeTrain> trains(n);
-  for (auto& train : trains) {
+  std::vector<SpikeTrain> trains;
+  for (std::uint32_t i = 0; i < n; ++i) {
     std::size_t count = 0;
     if (!(in >> count)) throw std::runtime_error("SnnGraph: truncated trains");
-    train.resize(count);
-    for (auto& t : train) {
+    SpikeTrain& train = trains.emplace_back();
+    for (std::size_t s = 0; s < count; ++s) {
+      TimeMs t = 0.0;
       if (!(in >> t)) throw std::runtime_error("SnnGraph: truncated train");
+      train.push_back(t);
     }
   }
   return from_parts(n, std::move(edges), std::move(trains), duration,
                     std::move(names), std::move(firsts));
-}
-
-void SnnGraph::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("SnnGraph: cannot open " + path);
-  save(out);
-  if (!out) throw std::runtime_error("SnnGraph: write failed for " + path);
-}
-
-SnnGraph SnnGraph::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("SnnGraph: cannot open " + path);
-  return load(in);
 }
 
 }  // namespace snnmap::snn

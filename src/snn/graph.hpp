@@ -85,10 +85,11 @@ class SnnGraph {
   double mean_rate_hz() const noexcept;
 
   /// Plain-text serialization (round-trips via load); versioned header.
+  /// load throws std::runtime_error on a malformed or truncated stream and
+  /// allocates only for the records it has read, whatever counts the
+  /// stream declares.
   void save(std::ostream& out) const;
   static SnnGraph load(std::istream& in);
-  void save_file(const std::string& path) const;
-  static SnnGraph load_file(const std::string& path);
 
  private:
   void build_fanout();

@@ -163,32 +163,6 @@ std::optional<bool> Config::get_bool(const std::string& key) const {
                            "'");
 }
 
-std::optional<std::vector<double>> Config::get_double_list(
-    const std::string& key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  std::string body = trim(*s);
-  if (body.size() < 2 || body.front() != '[' || body.back() != ']') {
-    throw std::runtime_error("config: key '" + key + "' is not a list: '" +
-                             *s + "'");
-  }
-  body = body.substr(1, body.size() - 2);
-  std::vector<double> out;
-  std::istringstream in(body);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const std::string t = trim(item);
-    if (t.empty()) continue;
-    try {
-      out.push_back(std::stod(t));
-    } catch (const std::exception&) {
-      throw std::runtime_error("config: list '" + key +
-                               "' has a non-numeric element: '" + t + "'");
-    }
-  }
-  return out;
-}
-
 std::string Config::string_or(const std::string& key, std::string def) const {
   return get_string(key).value_or(std::move(def));
 }

@@ -9,7 +9,6 @@
 //   key: value            (scalar: int, float, bool, string)
 //   section:
 //     nested_key: 3.14    (one level of two-space indentation)
-//   list_key: [1, 2, 3]   (flow-style scalar lists)
 //
 // Keys are exposed flattened as "section.nested_key".
 #pragma once
@@ -44,8 +43,6 @@ class Config {
   std::optional<double> get_double(const std::string& key) const;
   std::optional<std::int64_t> get_int(const std::string& key) const;
   std::optional<bool> get_bool(const std::string& key) const;
-  std::optional<std::vector<double>> get_double_list(
-      const std::string& key) const;
 
   /// Convenience getters with defaults.
   std::string string_or(const std::string& key, std::string def) const;

@@ -209,16 +209,6 @@ TEST(BatchNoc, EmptyBatchAndZeroThreadsAreFine) {
   EXPECT_TRUE(simulate(0, {}).empty());
 }
 
-TEST(BatchNoc, StreamingScenariosSkipTheLog) {
-  auto runs = noc_runs();
-  for (auto& r : runs) r.config.collect_delivered = false;
-  const auto results = simulate(2, std::move(runs));
-  for (const auto& r : results) {
-    EXPECT_TRUE(r.delivered.empty());
-    EXPECT_GT(r.stats.copies_delivered, 0u);
-  }
-}
-
 TEST(BatchEvaluator, ClampsPoolToMaxParallelism) {
   const auto graph = random_graph(10, 20, 71);
   BatchEvaluator evaluator(graph, 8, 3);

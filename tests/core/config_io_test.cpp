@@ -32,7 +32,6 @@ TEST(ConfigIo, ParsesFullDocument) {
       "noc:\n"
       "  buffer_depth: 2\n"
       "  multicast: false\n"
-      "  collect_delivered: false\n"
       "energy:\n"
       "  link_hop_pj: 42.0\n"
       "pso:\n"
@@ -51,7 +50,6 @@ TEST(ConfigIo, ParsesFullDocument) {
   EXPECT_EQ(flow.arch.cycles_per_ms, 250u);
   EXPECT_EQ(flow.noc.buffer_depth, 2u);
   EXPECT_FALSE(flow.noc.multicast);
-  EXPECT_FALSE(flow.noc.collect_delivered);
   EXPECT_EQ(flow.energy().link_hop_pj, 42.0);
   EXPECT_EQ(flow.noc.energy.link_hop_pj, 42.0);  // the same object
   EXPECT_EQ(flow.pso.swarm_size, 77u);
@@ -173,22 +171,37 @@ TEST(ConfigIo, RoutingAndSelectionKeys) {
   EXPECT_THROW(mapping_flow_from_config(bad), std::invalid_argument);
 }
 
-TEST(ConfigIo, NocEngineKeyRoundTrips) {
-  // Unset key keeps the default (event); both names parse; junk throws.
-  EXPECT_EQ(mapping_flow_from_config(util::Config{}).noc.engine,
-            noc::NocEngine::kEvent);
-  const auto cfg = util::Config::parse("noc:\n  engine: cycle\n");
-  const auto flow = mapping_flow_from_config(cfg);
-  EXPECT_EQ(flow.noc.engine, noc::NocEngine::kCycle);
+TEST(ConfigIo, RemovedAndMisspelledKeysThrow) {
+  // A key outside the serialized schema must fail loudly: a retired key
+  // (PSO's inertia weight is a constant, not a setting) or a typo would
+  // otherwise load as if absent and silently run the defaults.
+  const auto expect_unknown = [](const std::string& text,
+                                 const std::string& quoted_key) {
+    SCOPED_TRACE(text);
+    const auto cfg = util::Config::parse(text);
+    for (const bool cosim : {false, true}) {
+      try {
+        if (cosim) {
+          (void)cosim_from_config(cfg);
+        } else {
+          (void)mapping_flow_from_config(cfg);
+        }
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(quoted_key), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  expect_unknown("pso:\n  inertia: 0.72\n", "'pso.inertia'");
+  expect_unknown("noc:\n  bufer_depth: 2\n", "'noc.bufer_depth'");
+  expect_unknown("noc:\n  engine: cycle\n", "'noc.engine'");
 
-  util::Config out;
-  mapping_flow_to_config(flow, out);
-  EXPECT_EQ(out.get_string("noc.engine"), "cycle");
-  EXPECT_EQ(mapping_flow_from_config(out).noc.engine,
-            noc::NocEngine::kCycle);
-
-  const auto bad = util::Config::parse("noc:\n  engine: warp\n");
-  EXPECT_THROW(mapping_flow_from_config(bad), std::invalid_argument);
+  // One file feeds both loaders, so each accepts the other's keys.
+  const auto both = util::Config::parse(
+      "cosim:\n  cycles_per_timestep: 250\npso:\n  swarm_size: 7\n");
+  EXPECT_EQ(mapping_flow_from_config(both).pso.swarm_size, 7u);
+  EXPECT_EQ(cosim_from_config(both).cycles_per_timestep, 250u);
 }
 
 TEST(ConfigIo, BadInterconnectNameThrows) {
@@ -270,7 +283,6 @@ TEST(ConfigIo, CosimKeysRoundTripThroughDump) {
   cosim.injection_jitter_cycles = 4;
   cosim.dvfs.kind = cosim::DvfsPolicyKind::kDeadlineSlack;
   cosim.dvfs.min_scale = 0.125;
-  cosim.dvfs.slack_fraction = 0.625;
   util::Config out;
   cosim_to_config(cosim, out);
   const auto back = cosim_from_config(util::Config::parse(out.dump()));
@@ -279,19 +291,14 @@ TEST(ConfigIo, CosimKeysRoundTripThroughDump) {
   EXPECT_EQ(back.injection_jitter_cycles, 4u);
   EXPECT_EQ(back.dvfs.kind, cosim::DvfsPolicyKind::kDeadlineSlack);
   EXPECT_NEAR(back.dvfs.min_scale, 0.125, 1e-9);
-  EXPECT_NEAR(back.dvfs.slack_fraction, 0.625, 1e-9);
 }
 
 TEST(ConfigIo, DvfsKeysOverlayDefaults) {
   const auto cfg = util::Config::parse(
       "dvfs:\n"
-      "  policy: utilization-threshold\n"
-      "  low_utilization: 0.125\n"
-      "  high_utilization: 0.875\n");
+      "  policy: utilization-threshold\n");
   const auto cosim = cosim_from_config(cfg);
   EXPECT_EQ(cosim.dvfs.kind, cosim::DvfsPolicyKind::kUtilizationThreshold);
-  EXPECT_EQ(cosim.dvfs.low_utilization, 0.125);
-  EXPECT_EQ(cosim.dvfs.high_utilization, 0.875);
   EXPECT_EQ(cosim.dvfs.min_scale, cosim::DvfsPolicy{}.min_scale);  // default
 
   const auto bad = util::Config::parse("dvfs:\n  policy: psychic\n");
@@ -347,7 +354,6 @@ TEST(ConfigIo, FaultKeysOverlayDefaults) {
       "retry:\n"
       "  enabled: true\n"
       "  max_retries: 5\n"
-      "  backoff_windows: 2\n"
       "  timeout_windows: 16\n");
   const auto flow = mapping_flow_from_config(cfg);
   EXPECT_EQ(flow.noc.faults.seed, 77u);
@@ -363,7 +369,6 @@ TEST(ConfigIo, FaultKeysOverlayDefaults) {
   const auto cosim = cosim_from_config(cfg);
   EXPECT_TRUE(cosim.retry.enabled);
   EXPECT_EQ(cosim.retry.max_retries, 5u);
-  EXPECT_EQ(cosim.retry.backoff_windows, 2u);
   EXPECT_EQ(cosim.retry.timeout_windows, 16u);
 
   // An empty document keeps the inert defaults.
@@ -386,7 +391,6 @@ TEST(ConfigIo, FaultAndRetryKeysAreByteStable) {
   cosim::CoSimConfig cosim;
   cosim.retry.enabled = true;
   cosim.retry.max_retries = 7;
-  cosim.retry.backoff_windows = 3;
   cosim.retry.timeout_windows = 24;
 
   util::Config first;
@@ -491,15 +495,11 @@ TEST(ConfigIo, AnnealingAndGeneticKeys) {
   const auto cfg = util::Config::parse(
       "annealing:\n"
       "  moves: 1234\n"
-      "  cooling: 0.5\n"
       "genetic:\n"
-      "  population: 21\n"
-      "  mutation_rate: 0.125\n");
+      "  population: 21\n");
   const auto flow = mapping_flow_from_config(cfg);
   EXPECT_EQ(flow.annealing.moves, 1234u);
-  EXPECT_EQ(flow.annealing.cooling, 0.5);
   EXPECT_EQ(flow.genetic.population, 21u);
-  EXPECT_EQ(flow.genetic.mutation_rate, 0.125);
 }
 
 // The serialized config schema, pinned key for key.  snnmap-lint's
@@ -510,10 +510,8 @@ TEST(ConfigIo, AnnealingAndGeneticKeys) {
 // key dropped from to_config breaks the list (and byte-stability) too.
 TEST(ConfigIo, SerializedSchemaIsPinned) {
   static const char* const kSchema[] = {
-      "annealing.cooling",
       "annealing.moves",
       "annealing.restarts",
-      "annealing.swap_probability",
       "annealing.threads",
       "arch.chips",
       "arch.crossbars",
@@ -528,11 +526,8 @@ TEST(ConfigIo, SerializedSchemaIsPinned) {
       "cosim.cycles_per_timestep",
       "cosim.injection_jitter_cycles",
       "cosim.receive_queue_depth",
-      "dvfs.high_utilization",
-      "dvfs.low_utilization",
       "dvfs.min_scale",
       "dvfs.policy",
-      "dvfs.slack_fraction",
       "energy.aer_codec_pj",
       "energy.crossbar_event_pj",
       "energy.link_hop_pj",
@@ -552,7 +547,6 @@ TEST(ConfigIo, SerializedSchemaIsPinned) {
       "flow.partitioner",
       "flow.seed",
       "genetic.generations",
-      "genetic.mutation_rate",
       "genetic.population",
       "genetic.threads",
       "monitor.enabled",
@@ -560,26 +554,19 @@ TEST(ConfigIo, SerializedSchemaIsPinned) {
       "monitor.hot_occupancy",
       "monitor.persistence_windows",
       "noc.buffer_depth",
-      "noc.collect_delivered",
-      "noc.engine",
       "noc.max_cycles",
       "noc.mesh_routing",
       "noc.multicast",
       "noc.offchip_link_latency",
       "noc.selection",
-      "pso.inertia",
       "pso.iterations",
       "pso.objective",
       "pso.patience",
-      "pso.phi1",
-      "pso.phi2",
       "pso.refine_swap_factor",
       "pso.refine_sweeps",
       "pso.seed_with_baselines",
       "pso.swarm_size",
       "pso.threads",
-      "pso.v_max",
-      "retry.backoff_windows",
       "retry.enabled",
       "retry.max_retries",
       "retry.timeout_windows",

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <stdexcept>
 
 #include "core/neutrams.hpp"
@@ -194,34 +193,6 @@ TEST(Pso, RejectsZeroIterations) {
   PsoConfig config;
   config.iterations = 0;  // would leave the swarm best empty
   EXPECT_THROW(PsoPartitioner(g, arch_2x6(), config), std::invalid_argument);
-}
-
-TEST(Pso, RejectsNonPositiveOrNanVelocityClamp) {
-  const auto g = two_cliques();
-  for (const double v_max :
-       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
-    PsoConfig config;
-    config.v_max = v_max;  // std::clamp needs -v_max <= v_max
-    EXPECT_THROW(PsoPartitioner(g, arch_2x6(), config), std::invalid_argument)
-        << "v_max " << v_max;
-  }
-}
-
-TEST(Pso, RejectsNonFiniteInertiaAndAccelerations) {
-  const auto g = two_cliques();
-  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
-                        std::numeric_limits<double>::infinity(),
-                        -std::numeric_limits<double>::infinity()};
-  for (const double value : bad) {
-    for (double PsoConfig::*field :
-         {&PsoConfig::inertia, &PsoConfig::phi1, &PsoConfig::phi2}) {
-      PsoConfig config;
-      config.*field = value;
-      EXPECT_THROW(PsoPartitioner(g, arch_2x6(), config),
-                   std::invalid_argument)
-          << "value " << value;
-    }
-  }
 }
 
 /// Edge shapes the swarm step must survive: whatever the shape, PSO returns

@@ -266,50 +266,6 @@ TEST(NocSimulator, NotDrainedUnderSustainedOverloadKeepsPartialLog) {
   EXPECT_LE(result.stats.copies_delivered, result.stats.flits_injected);
 }
 
-TEST(NocSimulator, StreamingStatsModeMatchesAggregates) {
-  const auto traffic = [] {
-    std::vector<SpikePacketEvent> t;
-    for (int i = 0; i < 300; ++i) {
-      t.push_back(event(static_cast<std::uint64_t>(i / 3),
-                        static_cast<std::uint32_t>(i % 32),
-                        static_cast<TileId>(i % 9),
-                        {static_cast<TileId>((i + 4) % 9),
-                         static_cast<TileId>((i + 7) % 9)}));
-    }
-    return t;
-  };
-  NocSimulator full(Topology::mesh(3, 3), NocConfig{});
-  const auto with_log = full.run(traffic());
-
-  NocConfig streaming_config;
-  streaming_config.collect_delivered = false;
-  NocSimulator streaming(Topology::mesh(3, 3), streaming_config);
-  const auto stats_only = streaming.run(traffic());
-
-  // No per-copy log materialized, but every aggregate is identical.
-  EXPECT_TRUE(stats_only.delivered.empty());
-  EXPECT_FALSE(with_log.delivered.empty());
-  EXPECT_EQ(stats_only.stats.packets_injected,
-            with_log.stats.packets_injected);
-  EXPECT_EQ(stats_only.stats.flits_injected, with_log.stats.flits_injected);
-  EXPECT_EQ(stats_only.stats.copies_delivered,
-            with_log.stats.copies_delivered);
-  EXPECT_EQ(stats_only.stats.link_hops, with_log.stats.link_hops);
-  EXPECT_EQ(stats_only.stats.router_traversals,
-            with_log.stats.router_traversals);
-  EXPECT_EQ(stats_only.stats.duration_cycles, with_log.stats.duration_cycles);
-  EXPECT_EQ(stats_only.stats.max_latency_cycles,
-            with_log.stats.max_latency_cycles);
-  EXPECT_DOUBLE_EQ(stats_only.stats.global_energy_pj,
-                   with_log.stats.global_energy_pj);
-  EXPECT_DOUBLE_EQ(stats_only.stats.latency_cycles.mean(),
-                   with_log.stats.latency_cycles.mean());
-  EXPECT_EQ(stats_only.stats.link_flits, with_log.stats.link_flits);
-  // The log-derived SNN metrics stay zeroed in streaming mode.
-  EXPECT_EQ(stats_only.snn.delivered_spikes, 0u);
-  EXPECT_EQ(stats_only.snn.isi_pairs, 0u);
-}
-
 TEST(NocSimulator, IdleGapsAreFastForwarded) {
   // Two packets a million cycles apart must not take a million iterations;
   // if fast-forward works this returns instantly and duration covers the gap.

@@ -124,5 +124,18 @@ TEST(SnnGraph, LoadRejectsTruncated) {
   EXPECT_THROW(SnnGraph::load(stream), std::runtime_error);
 }
 
+TEST(SnnGraph, LoadRejectsCountsPastTheStream) {
+  // Neuron, edge, group and spike counts far past what the stream holds
+  // fail as truncation after reading what is there; none sizes an
+  // allocation up front.
+  for (const char* text : {"snngraph 1\n4000000000 0 100\n0\n",
+                           "snngraph 1\n2 1000000000000 100\n0\n",
+                           "snngraph 1\n2 0 100\n1000000000000\n",
+                           "snngraph 1\n1 0 100\n0\n1000000000000 5\n"}) {
+    std::stringstream stream(text);
+    EXPECT_THROW(SnnGraph::load(stream), std::runtime_error) << text;
+  }
+}
+
 }  // namespace
 }  // namespace snnmap::snn

@@ -96,21 +96,6 @@ TEST(Config, BoolAcceptsCommonSpellings) {
   EXPECT_EQ(cfg.get_bool("f"), false);
 }
 
-TEST(Config, FlowListParses) {
-  const auto cfg = Config::parse("weights: [1, 2.5, -3]\n");
-  const auto list = cfg.get_double_list("weights");
-  ASSERT_TRUE(list.has_value());
-  ASSERT_EQ(list->size(), 3u);
-  EXPECT_EQ((*list)[0], 1.0);
-  EXPECT_EQ((*list)[1], 2.5);
-  EXPECT_EQ((*list)[2], -3.0);
-}
-
-TEST(Config, NonListThrowsOnListAccess) {
-  const auto cfg = Config::parse("x: 5\n");
-  EXPECT_THROW((void)cfg.get_double_list("x"), std::runtime_error);
-}
-
 TEST(Config, RejectsTabs) {
   EXPECT_THROW(Config::parse("a:\n\tb: 1\n"), std::runtime_error);
 }
