@@ -316,9 +316,25 @@ int main(int argc, char** argv) {
     }
     if (chips != 0) flow.arch.chip_count = chips;
 
+    // The co-simulation settings the file and flags select.  --dump-config
+    // writes them beside the flow's, so a dumped file reproduces a --cosim
+    // run; the closed-loop run below starts from the same struct.
+    const apps::AppNetwork app_net = apps::build_app_network(app, flow.seed);
+    cosim::CoSimConfig cc;
+    cc.snn = app_net.sim;
+    cc.noc = flow.noc;
+    cc.cycles_per_timestep = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(
+               static_cast<double>(flow.arch.cycles_per_ms) *
+               app_net.sim.dt_ms));
+    cc = core::cosim_from_config(file_config, cc);
+    if (cosim_cycles != 0) cc.cycles_per_timestep = cosim_cycles;
+    if (retry) cc.retry.enabled = true;
+
     if (dump_config) {
       util::Config effective;
       core::mapping_flow_to_config(flow, effective);
+      core::cosim_to_config(cc, effective);
       std::cout << effective.dump();
       return 0;
     }
@@ -366,16 +382,6 @@ int main(int argc, char** argv) {
       // Closed-loop co-simulation of the mapping just produced: the same
       // network, with cross-crossbar synapses carried by the cycle-level
       // NoC, compared against the same-seed ideal-interconnect run.
-      apps::AppNetwork app_net = apps::build_app_network(app, flow.seed);
-      cosim::CoSimConfig cc;
-      cc.snn = app_net.sim;
-      cc.noc = flow.noc;
-      cc.cycles_per_timestep = std::max<std::uint32_t>(
-          1, static_cast<std::uint32_t>(
-                 static_cast<double>(flow.arch.cycles_per_ms) *
-                 app_net.sim.dt_ms));
-      cc = core::cosim_from_config(file_config, cc);
-      if (cosim_cycles != 0) cc.cycles_per_timestep = cosim_cycles;
 
       // The closed-loop run carries the file's `faults:` section even when
       // the mapping flow ran fault-free (auto-horizon configs, see above).
@@ -402,7 +408,6 @@ int main(int argc, char** argv) {
         cc.noc.trace.enabled = true;
       }
       if (monitor) cc.noc.monitor.enabled = true;
-      if (retry) cc.retry.enabled = true;
       if (remap_on_failure) {
         cc.failure_remap.enabled = true;
         cc.failure_remap.arch = flow.arch;

@@ -81,8 +81,8 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     -DSNNMAP_BUILD_BENCH=OFF \
     -DSNNMAP_BUILD_EXAMPLES=OFF
   cmake --build "$tsan_dir" -j "$JOBS"
-  # The concurrency surface: the pool itself (parallel_for and map), the
-  # fitness evaluator and NoC batches that share it across worker threads,
+  # The concurrency surface: the pool itself (parallel_for and map), one
+  # CostModel scored from several workers and NoC batches on the pool,
   # the PSO suite (particles are stepped and repaired on worker threads),
   # the determinism suites that run serial vs parallel back to back, and
   # the DVFS and fault tests that map co-sim and NoC runs onto a pool.

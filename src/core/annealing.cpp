@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 
 #include "core/incremental.hpp"
 #include "core/pacman.hpp"
@@ -25,14 +26,15 @@ struct MoveEvaluator {
 
 /// One annealing chain: the classic sequential random walk, a pure function
 /// of (graph, arch, config, start, seed) — this is what restarts
-/// parallelize over.  `start` is shared read-only across chains (the PACMAN
-/// solution is a pure function of (graph, arch), so it is computed once).
-AnnealingResult anneal_chain(const snn::SnnGraph& graph,
+/// parallelize over.  `cost` and `start` are shared read-only across chains
+/// (the PACMAN solution is a pure function of (graph, arch), so it is
+/// computed once).
+AnnealingResult anneal_chain(const CostModel& cost,
                              const hw::Architecture& arch,
                              const AnnealingConfig& config,
                              const Partition& start, std::uint64_t seed) {
+  const snn::SnnGraph& graph = cost.graph();
   util::Rng rng(seed);
-  CostModel cost(graph);
 
   const std::uint32_t n = graph.neuron_count();
   const std::uint32_t c = arch.crossbar_count;
@@ -42,22 +44,24 @@ AnnealingResult anneal_chain(const snn::SnnGraph& graph,
   result.best_cost = cost.objective_cost(start.assignment(), config.objective);
   if (n == 0 || c < 2) return result;  // nothing to optimize
 
-  // State: either the cut-tracking Partition or the AER evaluator.
+  // State: either the cut-tracking Partition or the AER evaluator (only
+  // the AER objective reads the latter's N x C target-count table).
   Partition current = start;
   std::uint64_t current_cost = result.best_cost;
   std::vector<std::uint32_t> occ = current.occupancy();
-  IncrementalAerCost aer(graph, start.assignment(), c);
+  std::optional<IncrementalAerCost> aer;
 
   MoveEvaluator eval;
   if (config.objective == Objective::kAerPackets) {
+    aer.emplace(graph, start.assignment(), c);
     eval.delta = [&](std::uint32_t neuron, CrossbarId to) {
-      return aer.move_delta(neuron, to);
+      return aer->move_delta(neuron, to);
     };
     eval.apply = [&](std::uint32_t neuron, CrossbarId to) {
-      aer.apply_move(neuron, to);
+      aer->apply_move(neuron, to);
     };
     eval.crossbar_of = [&](std::uint32_t neuron) {
-      return aer.crossbar_of(neuron);
+      return aer->crossbar_of(neuron);
     };
   } else {
     eval.delta = [&](std::uint32_t neuron, CrossbarId to) {
@@ -71,9 +75,9 @@ AnnealingResult anneal_chain(const snn::SnnGraph& graph,
     };
   }
   const auto snapshot_best = [&] {
-    if (config.objective == Objective::kAerPackets) {
+    if (aer) {
       Partition p(n, c);
-      for (std::uint32_t i = 0; i < n; ++i) p.assign(i, aer.assignment()[i]);
+      for (std::uint32_t i = 0; i < n; ++i) p.assign(i, aer->assignment()[i]);
       result.best = std::move(p);
     } else {
       result.best = current;
@@ -161,9 +165,10 @@ AnnealingResult annealing_partition(const snn::SnnGraph& graph,
                                     const hw::Architecture& arch,
                                     const AnnealingConfig& config) {
   const std::uint32_t restarts = std::max<std::uint32_t>(1, config.restarts);
+  const CostModel cost(graph);
   const Partition start = pacman_partition(graph, arch);
   if (restarts == 1) {
-    return anneal_chain(graph, arch, config, start, config.seed);
+    return anneal_chain(cost, arch, config, start, config.seed);
   }
 
   // Chain seeds are a pure function of (base seed, chain index) — chain 0
@@ -176,7 +181,7 @@ AnnealingResult annealing_partition(const snn::SnnGraph& graph,
     const std::uint64_t seed =
         i == 0 ? config.seed
                : config.seed ^ (0x9E3779B97F4A7C15ULL * (i + 1));
-    chains[i] = anneal_chain(graph, arch, config, start, seed);
+    chains[i] = anneal_chain(cost, arch, config, start, seed);
   });
 
   std::size_t winner = 0;

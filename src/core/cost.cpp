@@ -83,29 +83,27 @@ std::uint64_t CostModel::multicast_packet_count(
     const std::vector<CrossbarId>& assignment) const {
   const auto& offsets = graph_.fanout_offsets();
   const auto& targets = graph_.fanout_targets();
-  // Size the stamp scratch to the largest crossbar id in use (+1).
   CrossbarId max_c = 0;
   for (const CrossbarId c : assignment) {
     if (c != kUnassigned && c > max_c) max_c = c;
   }
-  if (crossbar_stamp_.size() <= max_c) {
-    crossbar_stamp_.assign(static_cast<std::size_t>(max_c) + 1, 0);
-  }
+  // seen[c] == i + 1 once neuron i's fan-out has counted crossbar c.
+  std::vector<std::uint32_t> seen(static_cast<std::size_t>(max_c) + 1, 0);
   std::uint64_t packets = 0;
   for (std::uint32_t i = 0; i < graph_.neuron_count(); ++i) {
     const std::uint64_t spikes = graph_.spike_count(i);
     if (spikes == 0) continue;
-    // Stamping the own crossbar first makes it count as already seen, so
+    // Marking the own crossbar first makes it count as already seen, so
     // the fanout loop counts each remote crossbar once without a branch.
-    ++stamp_;
+    const std::uint32_t mark = i + 1;
     const CrossbarId own = assignment[i];
-    if (own != kUnassigned) crossbar_stamp_[own] = stamp_;
+    if (own != kUnassigned) seen[own] = mark;
     std::uint64_t remotes = 0;
     for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
       const CrossbarId c = assignment[targets[k]];
       if (c == kUnassigned) continue;
-      remotes += crossbar_stamp_[c] != stamp_;
-      crossbar_stamp_[c] = stamp_;
+      remotes += seen[c] != mark;
+      seen[c] = mark;
     }
     packets += spikes * remotes;
   }

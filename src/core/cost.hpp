@@ -31,6 +31,9 @@ enum class Objective : std::uint8_t { kAerPackets, kCutSpikes };
 
 const char* to_string(Objective objective) noexcept;
 
+/// Immutable once built: every method is const and touches no hidden
+/// state, so one model is shared read-only by any number of threads (the
+/// optimizers' worker pools evaluate fitness against a single instance).
 class CostModel {
  public:
   explicit CostModel(const snn::SnnGraph& graph);
@@ -107,10 +110,6 @@ class CostModel {
 
   const snn::SnnGraph& graph_;
   std::vector<WeightedEdge> edges_;
-  // Stamp-marking scratch for distinct-crossbar counting (avoids a hash set
-  // allocation per fitness evaluation on the optimizer hot path).
-  mutable std::vector<std::uint64_t> crossbar_stamp_;
-  mutable std::uint64_t stamp_ = 0;
   // CSR adjacency over undirected incidence for move_delta: for neuron n,
   // (other endpoint, charged spikes) of every edge touching n.
   std::vector<std::uint32_t> adj_offsets_;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/batch_eval.hpp"
 #include "core/neutrams.hpp"
 #include "core/pacman.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnmap::core {
 namespace {
@@ -53,7 +53,9 @@ GeneticResult genetic_partition(const snn::SnnGraph& graph,
     throw std::invalid_argument("genetic_partition: population must be >= 2");
   }
   util::Rng rng(config.seed);
-  BatchEvaluator evaluator(graph, config.threads, config.population);
+  const CostModel model(graph);
+  util::ThreadPool pool(
+      std::min(util::ThreadPool::resolve(config.threads), config.population));
   const std::uint32_t n = graph.neuron_count();
   const std::uint32_t c = arch.crossbar_count;
 
@@ -84,7 +86,9 @@ GeneticResult genetic_partition(const snn::SnnGraph& graph,
   };
 
   for (std::uint32_t gen = 0; gen < config.generations; ++gen) {
-    evaluator.evaluate(population, config.objective, fitness);
+    pool.parallel_for(population.size(), [&](std::uint32_t, std::size_t i) {
+      fitness[i] = model.objective_cost(population[i], config.objective);
+    });
     result.fitness_evaluations += population.size();
     for (std::size_t i = 0; i < population.size(); ++i) {
       if (fitness[i] < best_cost) {

@@ -38,8 +38,11 @@ PsoPartitioner::PsoPartitioner(const snn::SnnGraph& graph,
     : graph_(graph),
       arch_(arch),
       config_(config),
-      evaluator_(graph, config.threads, config.swarm_size),
-      scratch_(evaluator_.thread_count()),
+      model_(graph),
+      // Workers beyond the swarm size would never receive a particle.
+      pool_(std::min(util::ThreadPool::resolve(config.threads),
+                     std::max<std::uint32_t>(1, config.swarm_size))),
+      scratch_(pool_.size()),
       costs_(config.swarm_size) {
   if (!arch.fits(graph.neuron_count())) {
     throw std::invalid_argument("PsoPartitioner: network does not fit (" +
@@ -58,11 +61,10 @@ void PsoPartitioner::step_swarm(
     std::vector<Particle>& swarm, std::uint32_t iter,
     const std::vector<CrossbarId>& gbest,
     const std::vector<std::vector<CrossbarId>>& seeds) {
-  // Task pi touches only swarm[pi], costs_[pi] and its worker's model and
-  // scratch; gbest and seeds are read-only while the pool runs.
-  evaluator_.for_each(swarm.size(), [&](std::uint32_t worker, std::size_t pi) {
+  // Task pi touches only swarm[pi], costs_[pi] and its worker's scratch;
+  // the model, gbest and seeds are read-only while the pool runs.
+  pool_.parallel_for(swarm.size(), [&](std::uint32_t worker, std::size_t pi) {
     Particle& p = swarm[pi];
-    const CostModel& model = evaluator_.model(worker);
     util::Rng rng(particle_stream(config_.seed, iter, pi));
     if (iter == 0) {
       p.velocity.resize(static_cast<std::size_t>(graph_.neuron_count()) *
@@ -72,9 +74,9 @@ void PsoPartitioner::step_swarm(
       }
       p.position = pi < seeds.size() ? seeds[pi] : random_assignment(rng);
     } else {
-      update_particle(p, gbest, rng, model, scratch_[worker]);
+      update_particle(p, gbest, rng, scratch_[worker]);
     }
-    costs_[pi] = model.objective_cost(p.position, config_.objective);
+    costs_[pi] = model_.objective_cost(p.position, config_.objective);
   });
   evaluations_ += swarm.size();
 }
@@ -106,7 +108,7 @@ std::vector<CrossbarId> PsoPartitioner::random_assignment(
 }
 
 void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
-                                     util::Rng& rng, const CostModel& model,
+                                     util::Rng& rng,
                                      RepairScratch& scratch) const {
   const std::uint32_t c = arch_.crossbar_count;
   const std::uint32_t cap = arch_.neurons_per_crossbar;
@@ -144,7 +146,7 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
     std::uint64_t best_cut = ~0ULL;
     for (CrossbarId k = 0; k < c; ++k) {
       if (occ[k] >= cap) continue;
-      const std::uint64_t cut = model.incident_cut(assignment, neuron, k);
+      const std::uint64_t cut = model_.incident_cut(assignment, neuron, k);
       if (cut < best_cut) {
         best_cut = cut;
         best = k;
@@ -160,7 +162,7 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
 
 void PsoPartitioner::update_particle(Particle& p,
                                      const std::vector<CrossbarId>& gbest,
-                                     util::Rng& rng, const CostModel& model,
+                                     util::Rng& rng,
                                      RepairScratch& scratch) const {
   // Velocity + position update (Eq. 1 with inertia and per-component random
   // scaling), then binarize + repair (Eqs. 2-5).  Position, pbest and gbest
@@ -192,11 +194,10 @@ void PsoPartitioner::update_particle(Particle& p,
       v[k] = static_cast<float>(std::clamp(acc[k], -kVMax, kVMax));
     }
   }
-  binarize_and_repair(p, rng, model, scratch);
+  binarize_and_repair(p, rng, scratch);
 }
 
 void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng,
-                                         const CostModel& model,
                                          RepairScratch& scratch) const {
   const std::uint32_t n = graph_.neuron_count();
   const std::uint32_t c = arch_.crossbar_count;
@@ -235,7 +236,7 @@ void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng,
     }
     p.position[i] = chosen;
   }
-  capacity_repair(p.position, rng, model, scratch);
+  capacity_repair(p.position, rng, scratch);
 }
 
 PsoResult PsoPartitioner::optimize() {

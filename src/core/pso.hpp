@@ -17,24 +17,24 @@
 // The swarm can be seeded with the PACMAN/NEUTRAMS baseline solutions
 // (memetic seeding, on by default): the paper reports PSO always at or
 // below both baselines, which seeding guarantees by construction.
-// Each swarm step fans out over a BatchEvaluator worker pool
-// (PsoConfig::threads), one task per particle: the velocity update,
-// binarization, repair and fitness of particle pi at step t draw only from
-// pi's own random stream, seeded from (seed, t, pi) — step 0 is the
-// initialization.  The pbest/gbest scan and the memetic refinement run on
-// the caller's thread in particle order, so results are identical at any
-// thread count.
+// Each swarm step fans out over a util::ThreadPool (PsoConfig::threads),
+// one task per particle, all scoring against one shared read-only
+// CostModel: the velocity update, binarization, repair and fitness of
+// particle pi at step t draw only from pi's own random stream, seeded from
+// (seed, t, pi) — step 0 is the initialization.  The pbest/gbest scan and
+// the memetic refinement run on the caller's thread in particle order, so
+// results are identical at any thread count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/batch_eval.hpp"
 #include "core/cost.hpp"
 #include "core/partition.hpp"
 #include "hw/architecture.hpp"
 #include "snn/graph.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnmap::core {
 
@@ -58,7 +58,7 @@ struct PsoConfig {
   /// Worker threads for the per-particle swarm steps: 0 = one per hardware
   /// thread, 1 = serial.  Results are identical for every value (each
   /// particle step draws from its own stream seeded from (seed, step,
-  /// particle); see BatchEvaluator).
+  /// particle).
   std::uint32_t threads = 0;
   bool track_history = false;       ///< record Gbest cost per iteration
   /// Stop early after this many iterations without Gbest improvement
@@ -107,20 +107,19 @@ class PsoPartitioner {
                   const std::vector<CrossbarId>& gbest,
                   const std::vector<std::vector<CrossbarId>>& seeds);
   void update_particle(Particle& p, const std::vector<CrossbarId>& gbest,
-                       util::Rng& rng, const CostModel& model,
-                       RepairScratch& scratch) const;
+                       util::Rng& rng, RepairScratch& scratch) const;
   void binarize_and_repair(Particle& p, util::Rng& rng,
-                           const CostModel& model,
                            RepairScratch& scratch) const;
   void capacity_repair(std::vector<CrossbarId>& assignment, util::Rng& rng,
-                       const CostModel& model, RepairScratch& scratch) const;
+                       RepairScratch& scratch) const;
   std::vector<CrossbarId> random_assignment(util::Rng& rng) const;
 
   const snn::SnnGraph& graph_;
   hw::Architecture arch_;
   PsoConfig config_;
-  BatchEvaluator evaluator_;
-  std::vector<RepairScratch> scratch_;  ///< one per evaluator worker
+  CostModel model_;                     ///< shared by every worker
+  util::ThreadPool pool_;
+  std::vector<RepairScratch> scratch_;  ///< one per pool worker
   std::vector<std::uint64_t> costs_;    ///< per-particle fitness slots
   std::uint64_t evaluations_ = 0;
 };

@@ -68,17 +68,22 @@ Config Config::parse(const std::string& text) {
     const std::string value = trim(body.substr(colon + 1));
     if (key.empty()) fail(line_no, "empty key");
 
+    std::string full_key = key;
     if (indent == 0) {
       if (value.empty()) {
         section = key;  // opens a nested block
-      } else {
-        section.clear();
-        cfg.values_[key] = unquote(value);
+        continue;
       }
+      section.clear();
     } else {
       if (section.empty()) fail(line_no, "nested key outside a section");
       if (value.empty()) fail(line_no, "nesting deeper than one level");
-      cfg.values_[section + "." + key] = unquote(value);
+      full_key = section + "." + key;
+    }
+    // A repeated key (or a reopened section setting one again) would
+    // otherwise silently override the earlier value.
+    if (!cfg.values_.emplace(full_key, unquote(value)).second) {
+      fail(line_no, "duplicate key '" + full_key + "'");
     }
   }
   return cfg;

@@ -3,9 +3,9 @@
 // Built for the optimizers' batch fitness evaluation: parallel_blocks()
 // splits an index range [0, n) into one contiguous block per worker and
 // blocks until every block finished.  Work never migrates between workers,
-// so per-worker scratch state (e.g. a CostModel) is touched by exactly one
-// thread per job, and the index -> worker mapping is a pure function of
-// (n, size()) — never of timing.  Results written to slots indexed by item
+// so per-worker scratch state (e.g. PSO's repair buffers) is touched by
+// exactly one thread per job, and the index -> worker mapping is a pure
+// function of (n, size()) — never of timing.  Results written to slots indexed by item
 // are therefore bit-identical to a serial run; map() packages exactly that
 // for independent scenario runs (NoC, SNN or co-sim sweeps).
 #pragma once

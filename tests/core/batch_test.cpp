@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "core/batch_eval.hpp"
 #include "core/cost.hpp"
 #include "noc/simulator.hpp"
 #include "snn/graph.hpp"
@@ -56,16 +54,21 @@ std::vector<std::vector<CrossbarId>> random_assignments(
   return out;
 }
 
-TEST(BatchEvaluator, MatchesSerialCostModel) {
+// CostModel is immutable, so the optimizers' worker pools share one model
+// read-only.  Any hidden per-call state would race here (the TSan leg runs
+// this suite) or leak between calls and change a later candidate's cost.
+TEST(BatchCostModel, SharedModelMatchesSerialCalls) {
   const auto graph = random_graph(40, 200, 11);
+  const CostModel shared(graph);
   const CostModel serial(graph);
-  BatchEvaluator evaluator(graph, 4);
   const auto batch = random_assignments(40, 5, 33, 12);
 
-  std::vector<std::uint64_t> costs;
   for (const auto objective :
        {Objective::kAerPackets, Objective::kCutSpikes}) {
-    evaluator.evaluate(batch, objective, costs);
+    const auto costs =
+        util::ThreadPool(4).map(batch.size(), [&](std::size_t i) {
+          return shared.objective_cost(batch[i], objective);
+        });
     ASSERT_EQ(costs.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(costs[i], serial.objective_cost(batch[i], objective))
@@ -74,63 +77,29 @@ TEST(BatchEvaluator, MatchesSerialCostModel) {
   }
 }
 
-TEST(BatchEvaluator, RepeatedRunsAreBitIdentical) {
+TEST(BatchCostModel, CostsIndependentOfCallOrder) {
+  // Candidates with different largest crossbar ids, scored forwards and
+  // backwards on one model: a call must not see what an earlier call left.
   const auto graph = random_graph(30, 120, 21);
-  BatchEvaluator parallel(graph, 4);
-  BatchEvaluator serial(graph, 1);
-  const auto batch = random_assignments(30, 4, 64, 22);
+  const CostModel model(graph);
+  auto batch = random_assignments(30, 4, 32, 22);
+  const auto wide = random_assignments(30, 9, 32, 23);
+  batch.insert(batch.end(), wide.begin(), wide.end());
 
-  std::vector<std::uint64_t> a, b, c;
-  parallel.evaluate(batch, Objective::kAerPackets, a);
-  parallel.evaluate(batch, Objective::kAerPackets, b);
-  serial.evaluate(batch, Objective::kAerPackets, c);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-}
-
-TEST(BatchEvaluator, ForEachMatchesEvaluate) {
-  const auto graph = random_graph(25, 80, 31);
-  BatchEvaluator evaluator(graph, 3);
-  const auto batch = random_assignments(25, 4, 17, 32);
-
-  std::vector<std::uint64_t> via_evaluate;
-  evaluator.evaluate(batch, Objective::kAerPackets, via_evaluate);
-  std::vector<std::uint64_t> via_for_each(batch.size());
-  std::vector<std::uint32_t> worker_of(batch.size());
-  evaluator.for_each(batch.size(), [&](std::uint32_t worker, std::size_t i) {
-    worker_of[i] = worker;
-    via_for_each[i] = evaluator.model(worker).objective_cost(
-        batch[i], Objective::kAerPackets);
-  });
-  EXPECT_EQ(via_evaluate, via_for_each);
-  // 17 candidates over 3 workers: contiguous blocks, every worker used.
-  EXPECT_TRUE(std::is_sorted(worker_of.begin(), worker_of.end()));
-  EXPECT_EQ(worker_of.front(), 0u);
-  EXPECT_EQ(worker_of.back(), 2u);
-}
-
-TEST(BatchEvaluator, EmptyBatchYieldsEmptyCosts) {
-  const auto graph = random_graph(10, 20, 41);
-  BatchEvaluator evaluator(graph, 2);
-  std::vector<std::uint64_t> costs{1, 2, 3};
-  evaluator.evaluate({}, Objective::kAerPackets, costs);
-  EXPECT_TRUE(costs.empty());
-}
-
-TEST(BatchEvaluator, ExposesWorkerLocalModels) {
-  const auto graph = random_graph(10, 20, 51);
-  BatchEvaluator evaluator(graph, 2);
-  EXPECT_EQ(evaluator.thread_count(), 2u);
-  const auto batch = random_assignments(10, 3, 1, 52);
-  EXPECT_EQ(evaluator.model(0).objective_cost(batch[0], Objective::kCutSpikes),
-            evaluator.model(1).objective_cost(batch[0],
-                                              Objective::kCutSpikes));
-}
-
-TEST(BatchEvaluator, ZeroThreadsResolvesToHardwareConcurrency) {
-  const auto graph = random_graph(10, 20, 61);
-  BatchEvaluator evaluator(graph, 0);
-  EXPECT_GE(evaluator.thread_count(), 1u);
+  std::vector<std::uint64_t> forwards(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    forwards[i] = model.objective_cost(batch[i], Objective::kAerPackets);
+  }
+  std::vector<std::uint64_t> backwards(batch.size());
+  for (std::size_t i = batch.size(); i-- > 0;) {
+    backwards[i] = model.objective_cost(batch[i], Objective::kAerPackets);
+  }
+  EXPECT_EQ(forwards, backwards);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(forwards[i], CostModel(graph).objective_cost(
+                               batch[i], Objective::kAerPackets))
+        << "candidate " << i;
+  }
 }
 
 /// One independent NoC run of a fanned-out batch.
@@ -207,22 +176,6 @@ TEST(BatchNoc, ParallelMatchesSerialBitForBit) {
 
 TEST(BatchNoc, EmptyBatchAndZeroThreadsAreFine) {
   EXPECT_TRUE(simulate(0, {}).empty());
-}
-
-TEST(BatchEvaluator, ClampsPoolToMaxParallelism) {
-  const auto graph = random_graph(10, 20, 71);
-  BatchEvaluator evaluator(graph, 8, 3);
-  EXPECT_EQ(evaluator.thread_count(), 3u);
-  // max_parallelism is a sizing hint, not a hard limit: a larger batch is
-  // still evaluated correctly, just with fewer workers.
-  const CostModel serial(graph);
-  const auto batch = random_assignments(10, 3, 10, 72);
-  std::vector<std::uint64_t> costs;
-  evaluator.evaluate(batch, Objective::kAerPackets, costs);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(costs[i], serial.objective_cost(batch[i],
-                                              Objective::kAerPackets));
-  }
 }
 
 }  // namespace

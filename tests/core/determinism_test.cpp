@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/annealing.hpp"
-#include "core/batch_eval.hpp"
 #include "core/genetic.hpp"
 #include "core/placement.hpp"
 #include "core/pso.hpp"

@@ -117,6 +117,24 @@ TEST(Config, RejectsDeepNesting) {
   EXPECT_THROW(Config::parse("a:\n  b:\n"), std::runtime_error);
 }
 
+TEST(Config, RejectsDuplicateKeys) {
+  // A reopened section setting a key again names the key and its line.
+  try {
+    Config::parse("flow:\n  seed: 1\npso:\n  swarm_size: 5\nflow:\n"
+                  "  seed: 2\n");
+    FAIL() << "duplicate key loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "config: line 6: duplicate key 'flow.seed'");
+  }
+  EXPECT_THROW(Config::parse("a: 1\na: 1\n"), std::runtime_error);
+  EXPECT_THROW(Config::parse("flow.seed: 1\nflow:\n  seed: 2\n"),
+               std::runtime_error);
+  // A section may be reopened to set other keys.
+  const auto cfg = Config::parse("a:\n  x: 1\nb: 2\na:\n  y: 3\n");
+  EXPECT_EQ(cfg.get_int("a.x"), 1);
+  EXPECT_EQ(cfg.get_int("a.y"), 3);
+}
+
 TEST(Config, SetAndDumpRoundTrip) {
   Config cfg;
   cfg.set("energy.link_hop_pj", "10.5");
