@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "../support/fnv1a.hpp"
 #include "core/neutrams.hpp"
 #include "core/pacman.hpp"
 #include "snn/graph.hpp"
+#include "util/rng.hpp"
 
 namespace snnmap::core {
 namespace {
@@ -246,6 +250,94 @@ TEST(Pso, CountsFitnessEvaluations) {
   PsoPartitioner pso(g, arch_2x6(), config);
   const auto result = pso.optimize();
   EXPECT_EQ(result.fitness_evaluations, 70u);
+}
+
+/// Random sparse workload: 64 neurons, 420 synapses, 1-6 spikes each.
+snn::SnnGraph random_workload() {
+  util::Rng rng(2024);
+  std::vector<snn::GraphEdge> edges;
+  for (int e = 0; e < 420; ++e) {
+    const auto pre = static_cast<std::uint32_t>(rng.below(64));
+    auto post = static_cast<std::uint32_t>(rng.below(64));
+    if (post == pre) post = (post + 1) % 64;
+    edges.push_back({pre, post, 1.0F});
+  }
+  std::vector<snn::SpikeTrain> trains;
+  for (int i = 0; i < 64; ++i) {
+    snn::SpikeTrain train;
+    const auto spikes = rng.below(6) + 1;
+    for (std::uint64_t s = 0; s < spikes; ++s) {
+      train.push_back(static_cast<double>(s) + 0.5);
+    }
+    trains.push_back(std::move(train));
+  }
+  return snn::SnnGraph::from_parts(64, std::move(edges), std::move(trains),
+                                   10.0);
+}
+
+struct KnownAnswer {
+  const char* name;
+  Objective objective;
+  std::uint32_t refine_sweeps;  ///< memetic refinement (0 = off)
+  std::uint32_t refine_swap_factor;
+  std::uint32_t neurons_per_crossbar;
+  std::uint64_t seed;
+  std::uint64_t best_cost;
+  std::uint64_t assignment_digest;  ///< FNV-1a over the best assignment
+  std::vector<std::uint64_t> history;
+};
+
+TEST(Pso, KnownAnswerDigests) {
+  // Pins the whole swarm bit for bit: every draw of the Eq. 1 update, the
+  // Eq. 2-3 binarization and the Eq. 4-5 repairs feeds the returned
+  // optimum, so a rewrite of any of them that changes a single decision
+  // changes these values.  Captured before the binarization dropped its
+  // per-dimension exp.  The 8-slot cases hold the 64 neurons exactly on 8
+  // crossbars, so their capacity repairs evict and re-place neurons.  The
+  // refined case improves after the initial refinement (iterations 8 and
+  // 9), so its optimum depends on the swarm, not only on the local search.
+  const std::vector<KnownAnswer> cases = {
+      {"aer_refined", Objective::kAerPackets, 1, 0, 8, 7, 838,
+       18256539276300782341ULL,
+       {856, 856, 856, 856, 856, 856, 856, 849, 838, 838, 838, 838}},
+      {"cut_spikes", Objective::kCutSpikes, 0, 0, 10, 4, 1217,
+       13783336452534828577ULL,
+       {1312, 1257, 1249, 1217, 1217, 1217, 1217, 1217, 1217, 1217, 1217,
+        1217}},
+      {"exact_capacity", Objective::kAerPackets, 0, 0, 8, 5, 840,
+       9728859830635948325ULL,
+       {874, 867, 854, 854, 854, 854, 843, 843, 843, 843, 840, 840}},
+  };
+  const auto graph = random_workload();
+  for (const auto& want : cases) {
+    hw::Architecture arch;
+    arch.crossbar_count = 8;
+    arch.neurons_per_crossbar = want.neurons_per_crossbar;
+    PsoConfig config;
+    config.swarm_size = 10;
+    config.iterations = 12;
+    config.objective = want.objective;
+    config.seed_with_baselines = false;  // the swarm alone sets the best
+    config.refine_sweeps = want.refine_sweeps;
+    config.refine_swap_factor = want.refine_swap_factor;
+    config.seed = want.seed;
+    config.track_history = true;
+    for (const std::uint32_t threads : {1u, 4u}) {
+      config.threads = threads;
+      const auto result = PsoPartitioner(graph, arch, config).optimize();
+      test::Fnv1a digest;
+      for (const CrossbarId k : result.best.assignment()) {
+        digest.mix(static_cast<std::uint64_t>(k));
+      }
+      SCOPED_TRACE(std::string(want.name) + " at " +
+                   std::to_string(threads) + " threads");
+      EXPECT_EQ(result.best_cost, want.best_cost);
+      EXPECT_EQ(result.iterations_run, 12u);
+      EXPECT_EQ(result.fitness_evaluations, 120u);
+      EXPECT_EQ(result.history, want.history);
+      EXPECT_EQ(digest.value(), want.assignment_digest);
+    }
+  }
 }
 
 }  // namespace
