@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verify: a lint gate plus four build/test legs.
+# Tier-1 verify: a lint gate, four build/test legs and a benchmark smoke run.
 #   0. Lint      — scripts/lint.sh: snnmap-lint determinism/contract rules
 #                  (always), clang-tidy + clang-format when the toolchain
 #                  has them (each skipped with a notice otherwise).
@@ -13,6 +13,9 @@
 #   4. TSan      — Debug + ThreadSanitizer over the concurrency surface:
 #                  the ThreadPool suite (parallel_for and map) plus every
 #                  suite that fans work out over it from many threads.
+#   5. Perfbench — builds the perfbench harness (its own build file, which
+#                  no other leg compiles) and runs one short traced
+#                  paper-flow pass; fails on a nonzero harness exit.
 # Legs 1-3 run the full CTest suite, so optimization-dependent breakage
 # (UB, fragile float expectations) and memory errors surface here and not
 # in a profile run.  Leg 4 runs the filtered concurrency subset (TSan's
@@ -94,3 +97,11 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$JOBS" \
     --no-tests=error -R "$tsan_tests"
 fi
+
+# perfbench/ builds the library from src/ with its own build file, so an
+# API change there could break the benchmark harness unseen by the legs
+# above.  The harness exits nonzero on any failed operation: a flow that
+# throws, PSO worse than PACMAN, or a traced/untraced parity mismatch.
+echo "=== ci leg: perfbench (${PERFBENCH_BUILD_DIR:-build-perfbench}) ==="
+CARGO_TARGET_DIR="${PERFBENCH_BUILD_DIR:-build-perfbench}" \
+  python3 perfbench/run.py --workload paper-flow --seconds 1 --trace 1

@@ -51,16 +51,14 @@ std::uint64_t CostModel::global_spike_count(
   return total;
 }
 
-std::uint64_t CostModel::incident_cut(
+void CostModel::tally_incident_spikes(
     const std::vector<CrossbarId>& assignment, std::uint32_t neuron,
-    CrossbarId candidate) const {
-  std::uint64_t cut = 0;
+    std::vector<std::uint64_t>& spikes_on) const {
   for (std::uint32_t k = adj_offsets_[neuron]; k < adj_offsets_[neuron + 1];
        ++k) {
     const CrossbarId other = assignment[adj_other_[k]];
-    if (other != kUnassigned && other != candidate) cut += adj_spikes_[k];
+    if (other != kUnassigned) spikes_on[other] += adj_spikes_[k];
   }
-  return cut;
 }
 
 std::uint64_t CostModel::spikes_between(const Partition& partition,

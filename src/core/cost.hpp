@@ -47,11 +47,15 @@ class CostModel {
   std::uint64_t global_spike_count(
       const std::vector<CrossbarId>& assignment) const;
 
-  /// Spikes cut by edges incident to `neuron` if it were placed on
-  /// `candidate`; neighbors still unassigned (kUnassigned) are ignored.
-  /// Used by the PSO/GA capacity-repair operators.
-  std::uint64_t incident_cut(const std::vector<CrossbarId>& assignment,
-                             std::uint32_t neuron, CrossbarId candidate) const;
+  /// Adds to `spikes_on[k]` the spikes of every edge between `neuron` and
+  /// a neighbor assigned to crossbar k; neighbors still unassigned
+  /// (kUnassigned) are skipped.  Placing `neuron` on k cuts every other
+  /// incident spike, so the largest tally marks the cheapest crossbar.
+  /// One pass over the neuron's incidence, O(degree); `spikes_on` holds an
+  /// entry per crossbar.  Used by the PSO capacity-repair operator.
+  void tally_incident_spikes(const std::vector<CrossbarId>& assignment,
+                             std::uint32_t neuron,
+                             std::vector<std::uint64_t>& spikes_on) const;
 
   /// Eq. 7 restricted to one ordered crossbar pair (k1 -> k2).
   std::uint64_t spikes_between(const Partition& partition, CrossbarId k1,

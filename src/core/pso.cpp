@@ -1,12 +1,12 @@
 #include "core/pso.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/incremental.hpp"
 #include "core/neutrams.hpp"
 #include "core/pacman.hpp"
+#include "core/sigmoid_bracket.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 
@@ -17,9 +17,8 @@ namespace {
 constexpr double kInertia = 0.72;  ///< velocity memory (omega)
 constexpr double kPhi1 = 1.49;     ///< cognitive constant
 constexpr double kPhi2 = 1.49;     ///< social constant
-constexpr double kVMax = 4.0;      ///< velocity clamp (sigmoid saturation)
-
-double sigmoid(double v) noexcept { return 1.0 / (1.0 + std::exp(-v)); }
+using detail::kVMax;
+using detail::sigmoid;
 
 /// Seed of particle `pi`'s random stream at swarm step `iter` (0 is the
 /// initialization): a pure function of (seed, iter, pi), distinct for every
@@ -140,15 +139,23 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
   }
   // ...then re-place each pooled neuron on the feasible crossbar that cuts
   // the fewest incident spikes (greedy, cheapest-first order is the pool's
-  // random order — adequate and cheap).
+  // random order — adequate and cheap).  One pass over the neuron's
+  // incidence tallies the spikes it shares with each crossbar's residents;
+  // placing it on k cuts the rest, so the first feasible crossbar with the
+  // largest tally is the first with the smallest cut.  The scan zeroes the
+  // row for the next neuron.
+  auto& tally = scratch.tally;
+  tally.assign(c, 0);
   for (const std::uint32_t neuron : pool) {
+    model_.tally_incident_spikes(assignment, neuron, tally);
     CrossbarId best = kUnassigned;
-    std::uint64_t best_cut = ~0ULL;
+    std::uint64_t best_tally = 0;
     for (CrossbarId k = 0; k < c; ++k) {
+      const std::uint64_t shared = tally[k];
+      tally[k] = 0;
       if (occ[k] >= cap) continue;
-      const std::uint64_t cut = model_.incident_cut(assignment, neuron, k);
-      if (cut < best_cut) {
-        best_cut = cut;
+      if (best == kUnassigned || shared > best_tally) {
+        best_tally = shared;
         best = k;
       }
     }
@@ -204,30 +211,32 @@ void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng,
   // Per-neuron stochastic binarization (Eqs. 2-3) followed by one-hot repair
   // (Eq. 4): among the sampled set bits keep one uniformly; if none were
   // sampled, roulette-select a crossbar proportionally to sigmoid(v).  The
-  // set bits are collected without a branch, then one bounded draw picks.
-  auto& probs = scratch.probs;
+  // set bits are collected without a branch, each settled by the bracket
+  // table (no exp unless the draw falls inside its bracket), then one
+  // bounded draw picks.
+  const auto& bracket = detail::sigmoid_bracket();
   auto& picks = scratch.picks;
-  probs.resize(c);
   picks.resize(c);
   for (std::uint32_t i = 0; i < n; ++i) {
     const float* v = p.velocity.data() + static_cast<std::size_t>(i) * c;
-    double prob_sum = 0.0;
-    for (std::uint32_t k = 0; k < c; ++k) {
-      probs[k] = sigmoid(static_cast<double>(v[k]));
-      prob_sum += probs[k];
-    }
     std::uint32_t set_bits = 0;
     for (std::uint32_t k = 0; k < c; ++k) {
       picks[set_bits] = k;
-      set_bits += rng.uniform() < probs[k];
+      set_bits += bracket.below(rng.uniform(), static_cast<double>(v[k]));
     }
     CrossbarId chosen = kUnassigned;
     if (set_bits > 0) {
       chosen = picks[rng.below(set_bits)];
     } else {
+      // The rare empty row (about 0.4% of neurons) recomputes the exact
+      // probabilities rather than storing them.
+      double prob_sum = 0.0;
+      for (std::uint32_t k = 0; k < c; ++k) {
+        prob_sum += sigmoid(static_cast<double>(v[k]));
+      }
       double target = rng.uniform() * prob_sum;
       for (std::uint32_t k = 0; k < c; ++k) {
-        target -= probs[k];
+        target -= sigmoid(static_cast<double>(v[k]));
         if (target <= 0.0 || k == c - 1) {
           chosen = k;
           break;

@@ -4,16 +4,24 @@
 // Velocities update per Eq. 1 (with an inertia weight and per-component
 // random scaling of the cognitive/social terms, the standard Eberhart-
 // Kennedy instantiation the paper cites); positions binarize through the
-// sigmoid rule of Eqs. 2-3.  Position, pbest and gbest are one-hot, so the
-// cognitive and social terms of Eq. 1 are nonzero on at most three of a
-// neuron's C dimensions, and their random scalings are drawn only there
-// (at most 4 draws per neuron).  Raw binarized positions rarely satisfy the
-// constraints, so two repair operators run after every update:
+// sigmoid rule of Eqs. 2-3: bit x_{i,k} is set when a uniform draw falls
+// below sigmoid(v_{i,k}).  One read-only table of sigmoid brackets over the
+// clamped velocity range (core/sigmoid_bracket.hpp) settles almost every
+// draw with two comparisons; only a draw inside its bracket evaluates the
+// sigmoid, so each bit is exactly the one the exp-based rule draws.
+// Position, pbest and gbest are one-hot, so the cognitive and social terms
+// of Eq. 1 are nonzero on at most three of a neuron's C dimensions, and
+// their random scalings are drawn only there (at most 4 draws per neuron).
+// Raw binarized positions rarely satisfy the constraints, so two repair
+// operators run after every update:
 //   1. one-hot repair (Eq. 4): per neuron, keep exactly one set bit —
 //      one bounded draw, uniform over the sampled set bits, or roulette
-//      proportional to the sigmoid probabilities when none was sampled;
-//   2. capacity repair (Eq. 5): overflow neurons migrate to the crossbar
-//      with free space that least increases the fitness.
+//      proportional to the exact sigmoid probabilities when none was
+//      sampled (about 0.4% of neurons);
+//   2. capacity repair (Eq. 5): random residents of overloaded crossbars
+//      are evicted, then each is re-placed on the feasible crossbar that
+//      cuts the fewest of its incident spikes, found by tallying in one
+//      pass over its incidence the spikes it shares with each crossbar.
 // The swarm can be seeded with the PACMAN/NEUTRAMS baseline solutions
 // (memetic seeding, on by default): the paper reports PSO always at or
 // below both baselines, which seeding guarantees by construction.
@@ -93,8 +101,8 @@ class PsoPartitioner {
   /// Step buffers of one worker, reused across the particle steps it runs.
   struct RepairScratch {
     std::vector<double> row;                          // C Eq. 1 velocities
-    std::vector<double> probs;                        // C sigmoid probabilities
     std::vector<CrossbarId> picks;                    // sampled set bits
+    std::vector<std::uint64_t> tally;                 // C shared spikes
     std::vector<std::uint32_t> occ;                   // C crossbar occupancies
     std::vector<std::uint32_t> pool;                  // evicted neurons
     std::vector<std::vector<std::uint32_t>> members;  // C resident lists

@@ -161,6 +161,38 @@ TEST(CostModel, MoveDeltaMatchesRecomputation) {
   }
 }
 
+TEST(CostModel, TallyIncidentSpikesMatchesEdgeList) {
+  // Chain graph plus a self-loop on 2; neuron 2 is unassigned, as an
+  // evicted neuron is during capacity repair.
+  std::vector<snn::GraphEdge> edges{{0, 1, 1.0F}, {1, 2, 1.0F}, {2, 3, 1.0F},
+                                    {0, 2, 1.0F}, {2, 2, 1.0F}, {3, 1, 1.0F}};
+  std::vector<snn::SpikeTrain> trains{
+      {1, 2, 3}, {1, 2, 3, 4, 5}, {1, 2}, {1, 2, 3, 4, 5, 6, 7}};
+  const auto g =
+      snn::SnnGraph::from_parts(4, std::move(edges), std::move(trains), 100.0);
+  const CostModel cost(g);
+  const std::vector<CrossbarId> assignment{0, 1, kUnassigned, 1};
+  for (std::uint32_t neuron = 0; neuron < 4; ++neuron) {
+    std::vector<std::uint64_t> want(3, 0);
+    for (const auto& e : g.edges()) {
+      if (e.pre == e.post) continue;
+      const std::uint32_t other = e.pre == neuron    ? e.post
+                                  : e.post == neuron ? e.pre
+                                                     : neuron;
+      if (other == neuron || assignment[other] == kUnassigned) continue;
+      want[assignment[other]] += g.spike_count(e.pre);
+    }
+    std::vector<std::uint64_t> tally(3, 0);
+    cost.tally_incident_spikes(assignment, neuron, tally);
+    EXPECT_EQ(tally, want) << "neuron " << neuron;
+  }
+  // Neuron 2 shares 3 (0 -> 2) spikes with crossbar 0 and 5 (1 -> 2) + 2
+  // (2 -> 3) with crossbar 1.
+  std::vector<std::uint64_t> tally(3, 0);
+  cost.tally_incident_spikes(assignment, 2, tally);
+  EXPECT_EQ(tally, (std::vector<std::uint64_t>{3, 7, 0}));
+}
+
 TEST(CostModel, SelfLoopsNeverCount) {
   std::vector<snn::GraphEdge> edges{{0, 0, 1.0F}, {0, 1, 1.0F}};
   std::vector<snn::SpikeTrain> trains{{1, 2}, {}};
