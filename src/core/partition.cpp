@@ -60,12 +60,4 @@ void Partition::validate(const hw::Architecture& arch) const {
   }
 }
 
-std::vector<std::uint32_t> Partition::neurons_on(CrossbarId crossbar) const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < assignment_.size(); ++i) {
-    if (assignment_[i] == crossbar) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace snnmap::core

@@ -47,9 +47,6 @@ class Partition {
   /// Throws std::runtime_error naming the violated constraint, if any.
   void validate(const hw::Architecture& arch) const;
 
-  /// Neurons resident on one crossbar (convenience for reports).
-  std::vector<std::uint32_t> neurons_on(CrossbarId crossbar) const;
-
   friend bool operator==(const Partition&, const Partition&) = default;
 
  private:

@@ -285,11 +285,6 @@ CoSimResult CoSimulator::run() {
   fid.per_step_misses.assign(steps_, 0);
   fid.per_step_energy_pj.assign(steps_, 0.0);
   fid.per_step_cycles.assign(steps_, nominal);
-  fid.transit_hist = util::Histogram(
-      0.0,
-      static_cast<double>(
-          std::max<std::uint64_t>(std::uint64_t{nominal} * 4, 64)),
-      64);
 
   noc_.begin();
   // Protocol-level trace events (DVFS decisions, AER retries, remap
@@ -455,7 +450,6 @@ CoSimResult CoSimulator::run() {
       const std::uint64_t arrival_step = t;
       ++fid.copies_arrived;
       fid.transit_cycles.add(static_cast<double>(transit));
-      fid.transit_hist.add(static_cast<double>(transit));
       fid.per_step_transit[arrival_step].add(static_cast<double>(transit));
 
       if (bounded) {
@@ -648,13 +642,6 @@ CoSimResult CoSimulator::run() {
   fid.undelivered = fid.copies_offered - fid.copies_arrived;
   fid.fabric_energy_pj = config_.noc.energy.activity_energy_pj(
       weighted_codec, weighted_link, weighted_router, weighted_offchip);
-  double max_window_energy = 0.0;
-  for (const double e : fid.per_step_energy_pj) {
-    max_window_energy = std::max(max_window_energy, e);
-  }
-  fid.energy_hist = util::Histogram(
-      0.0, max_window_energy > 0.0 ? max_window_energy : 1.0, 32);
-  for (const double e : fid.per_step_energy_pj) fid.energy_hist.add(e);
   noc::NocRunResult nr = noc_.finish();
   out.noc = std::move(nr.stats);
   fid.congestion = std::move(nr.congestion);

@@ -33,7 +33,6 @@ struct FidelityReport {
   std::uint64_t deadline_misses = 0;
 
   util::Accumulator transit_cycles;  ///< recv - emit, per arrived copy
-  util::Histogram transit_hist{0.0, 1.0, 1};  ///< rebuilt per run
   /// Transit accumulator per *arrival* step (latency the crossbar saw that
   /// step); empty accumulators mark windows with no arrivals.
   std::vector<util::Accumulator> per_step_transit;
@@ -60,7 +59,6 @@ struct FidelityReport {
   util::Accumulator window_busy_cycles;
   /// Flits on the window's busiest link (the per-window hotspot peak).
   util::Accumulator window_peak_link_flits;
-  util::Histogram energy_hist{0.0, 1.0, 1};  ///< per-window energy, rebuilt
 
   /// Per-link congestion summary over the lockstep windows (one monitor
   /// window per step; `monitored == false` when NocConfig::monitor is

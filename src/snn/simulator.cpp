@@ -107,7 +107,6 @@ Simulator::Simulator(Network& network, SimulationConfig config)
   cut_count_.assign(n, 0);
   fan_has_cut_.assign(n, 0);
   pending_.assign(ring_ * n, 0.0);
-  external_.assign(n, 0.0);
   if (config_.syn_tau_ms > 0.0) {
     syn_current_.assign(n, 0.0);
     syn_decay_ = std::exp(-config_.dt_ms / config_.syn_tau_ms);
@@ -138,13 +137,6 @@ Simulator::Simulator(Network& network, SimulationConfig config)
       plastic_fanin_slot_[at] = slot_of[idx];
     }
   }
-}
-
-void Simulator::inject_current(NeuronId neuron, double current) {
-  if (neuron >= external_.size()) {
-    throw std::out_of_range("Simulator: inject_current neuron out of range");
-  }
-  external_[neuron] += current;
 }
 
 void Simulator::deliver_spike(NeuronId neuron) {
@@ -265,7 +257,6 @@ void Simulator::step_impl() {
     }
   }
   const double* input_base = exponential ? syn_current_.data() : arriving;
-  const double* external = external_.data();
 
   for (const GroupRun& run : group_runs_) {
     switch (run.model) {
@@ -289,8 +280,8 @@ void Simulator::step_impl() {
       case NeuronModel::kLif: {
         const LifParams& p = run.lif;
         for (NeuronId i = run.first; i < run.last; ++i) {
-          const double input = input_base[i] + external[i];
-          if (step_lif(states_[i], p, input, now_ms_, config_.dt_ms)) {
+          if (step_lif(states_[i], p, input_base[i], now_ms_,
+                       config_.dt_ms)) {
             fire(i);
           }
         }
@@ -299,8 +290,7 @@ void Simulator::step_impl() {
       case NeuronModel::kIzhikevich: {
         const IzhikevichParams& p = run.izh;
         for (NeuronId i = run.first; i < run.last; ++i) {
-          const double input = input_base[i] + external[i];
-          if (step_izhikevich(states_[i], p, input, config_.dt_ms)) {
+          if (step_izhikevich(states_[i], p, input_base[i], config_.dt_ms)) {
             fire(i);
           }
         }
@@ -316,7 +306,6 @@ void Simulator::finish_step() {
   const std::uint32_t n = neuron_count_;
   double* arriving = pending_.data() + slot_ * n;
   std::fill(arriving, arriving + n, 0.0);
-  std::fill(external_.begin(), external_.end(), 0.0);
   slot_ = slot_ + 1 == ring_ ? 0 : slot_ + 1;
   ++step_count_;
   now_ms_ = static_cast<double>(step_count_) * config_.dt_ms;

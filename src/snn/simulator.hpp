@@ -98,10 +98,6 @@ class Simulator {
   /// Per-neuron trains materialized from the internal event log.
   std::vector<SpikeTrain> spikes() const;
 
-  /// Injects an external current into a neuron for the next step only
-  /// (used by apps that drive networks with analog stimuli).
-  void inject_current(NeuronId neuron, double current);
-
   // --- co-simulation seam (src/cosim/) -----------------------------------
   //
   // The closed-loop co-simulator owns spike *transport*: it marks the
@@ -254,7 +250,6 @@ class Simulator {
   std::vector<double> pending_;
   std::size_t ring_ = 1;
   std::size_t slot_ = 0;
-  std::vector<double> external_;  // one-step external injections
   std::vector<double> syn_current_;  // exponential-synapse state (tau > 0)
   double syn_decay_ = 0.0;           // exp(-dt / tau), 0 when disabled
 

@@ -121,20 +121,6 @@ std::optional<double> Config::get_double(const std::string& key) const {
   }
 }
 
-std::optional<std::int64_t> Config::get_int(const std::string& key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  std::int64_t v = 0;
-  const char* first = s->data();
-  const char* last = s->data() + s->size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) {
-    throw std::runtime_error("config: key '" + key +
-                             "' is not an integer: '" + *s + "'");
-  }
-  return v;
-}
-
 std::optional<std::uint64_t> Config::get_uint(const std::string& key,
                                               std::uint64_t max) const {
   const auto s = get_string(key);
@@ -166,10 +152,6 @@ std::optional<bool> Config::get_bool(const std::string& key) const {
   }
   throw std::runtime_error("config: key '" + key + "' is not a bool: '" + *s +
                            "'");
-}
-
-std::string Config::string_or(const std::string& key, std::string def) const {
-  return get_string(key).value_or(std::move(def));
 }
 
 double Config::double_or(const std::string& key, double def) const {

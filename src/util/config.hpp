@@ -41,11 +41,9 @@ class Config {
   /// std::runtime_error when present but not convertible.
   std::optional<std::string> get_string(const std::string& key) const;
   std::optional<double> get_double(const std::string& key) const;
-  std::optional<std::int64_t> get_int(const std::string& key) const;
   std::optional<bool> get_bool(const std::string& key) const;
 
   /// Convenience getters with defaults.
-  std::string string_or(const std::string& key, std::string def) const;
   double double_or(const std::string& key, double def) const;
   bool bool_or(const std::string& key, bool def) const;
   /// Unsigned getter with a default, typed by the field it fills: the value

@@ -21,12 +21,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& s : s_) s = splitmix64(sm);
 }
 
-std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {
-  if (hi <= lo) return lo;
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 bool Rng::chance(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -58,25 +52,6 @@ double Rng::exponential(double rate) noexcept {
   if (rate <= 0.0) return 0.0;
   // 1 - uniform() is in (0, 1], so the log is finite.
   return -std::log(1.0 - uniform()) / rate;
-}
-
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth: multiply uniforms until the product drops below e^-mean.
-    const double limit = std::exp(-mean);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction, adequate for rate
-  // parameters used by the workload generators.
-  const double x = normal(mean, std::sqrt(mean)) + 0.5;
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x);
 }
 
 Rng Rng::fork() noexcept {

@@ -44,9 +44,6 @@ class Rng {
   /// Uniform integer in [0, n) using Lemire's unbiased bounded method.
   std::uint64_t below(std::uint64_t n) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Bernoulli trial with success probability p.
   bool chance(double p) noexcept;
 
@@ -58,10 +55,6 @@ class Rng {
 
   /// Exponential deviate with the given rate (lambda), i.e. mean 1/lambda.
   double exponential(double rate) noexcept;
-
-  /// Poisson-distributed count with the given mean.  Uses Knuth's method for
-  /// small means and normal approximation (rounded, clamped at 0) for large.
-  std::uint64_t poisson(double mean) noexcept;
 
   /// Fisher-Yates shuffle of a vector in place.
   template <typename T>

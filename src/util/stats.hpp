@@ -1,12 +1,10 @@
-// Lightweight descriptive statistics used by the metric collectors and the
-// benchmark harnesses (means, percentiles, histograms, online accumulators).
+// Online descriptive statistics used by the metric collectors and the
+// benchmark harnesses.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace snnmap::util {
 
@@ -44,38 +42,6 @@ class Accumulator {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Percentile with linear interpolation; `p` in [0, 100].
-/// The input is copied and sorted; 0 is returned for empty input.
-double percentile(std::vector<double> values, double p);
-
-/// Arithmetic mean; 0 for empty input.
-double mean_of(const std::vector<double>& values);
-
-/// Sample standard deviation; 0 for fewer than two observations.
-double stddev_of(const std::vector<double>& values);
-
-/// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
-  /// Multi-line ASCII rendering for logs/reports.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace snnmap::util

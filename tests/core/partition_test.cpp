@@ -89,15 +89,6 @@ TEST(Partition, ValidateNamesViolation) {
   EXPECT_NO_THROW(good.validate(arch));
 }
 
-TEST(Partition, NeuronsOnCrossbar) {
-  Partition p(5, 2);
-  p.assign(0, 1);
-  p.assign(2, 1);
-  p.assign(4, 0);
-  EXPECT_EQ(p.neurons_on(1), (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_EQ(p.neurons_on(0), (std::vector<std::uint32_t>{4}));
-}
-
 TEST(Partition, Equality) {
   Partition a(2, 2);
   Partition b(2, 2);

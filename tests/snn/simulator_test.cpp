@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "snn/graph.hpp"
@@ -171,27 +172,6 @@ TEST(Simulator, StdpDisabledKeepsWeights) {
   EXPECT_FLOAT_EQ(net.synapses()[0].weight, 20.0F);
 }
 
-TEST(Simulator, InjectCurrentFiresNeuron) {
-  Network net;
-  net.add_lif_group("n", 1);
-  SimulationConfig cfg;
-  Simulator sim(net, cfg);
-  sim.inject_current(0, 100.0);
-  sim.step();
-  EXPECT_EQ(sim.total_spikes(), 1u);
-  // Injection is one-step only: without re-injection the neuron is silent.
-  for (int i = 0; i < 20; ++i) sim.step();
-  EXPECT_EQ(sim.total_spikes(), 1u);
-}
-
-TEST(Simulator, InjectCurrentValidatesNeuron) {
-  Network net;
-  net.add_lif_group("n", 1);
-  SimulationConfig cfg;
-  Simulator sim(net, cfg);
-  EXPECT_THROW(sim.inject_current(5, 1.0), std::out_of_range);
-}
-
 TEST(Simulator, ExponentialSynapsesSumTemporally) {
   // A weight just below the instantaneous threshold cannot fire a LIF
   // neuron with delta synapses, but with a slow synaptic time constant the
@@ -218,24 +198,30 @@ TEST(Simulator, ExponentialSynapsesSumTemporally) {
 
 TEST(Simulator, ExponentialSynapseDecayIsFinite) {
   // One strong input pulse through a slow synapse must not fire the target
-  // forever: the current decays and the neuron falls silent.
+  // forever: the current decays and the neuron falls silent.  The pulse is
+  // a real spike, so it reaches the target through the synaptic current.
   Network net;
-  net.add_lif_group("out", 1);
-  net.add_poisson_group("in", 1, 0.0);  // silent source
-  net.add_synapse(1, 0, 50.0);
+  const auto in = net.add_poisson_group("in", 1, 0.0);
+  const auto out = net.add_lif_group("out", 1);
+  // 1 kHz at dt = 1 ms is a spike probability of 1: the source fires in
+  // step 0 and never again.
+  net.set_rate_function(in, [](std::uint32_t, double now_ms) {
+    return now_ms < 0.5 ? 1000.0 : 0.0;
+  });
+  util::Rng rng(1);
+  net.connect_one_to_one(in, out, WeightSpec::fixed(50.0), rng);
   SimulationConfig cfg;
   cfg.syn_tau_ms = 5.0;
   Simulator sim(net, cfg);
-  // Manually push one spike's worth of current via external injection.
-  sim.inject_current(0, 50.0);
   for (int t = 0; t < 300; ++t) sim.step();
-  const std::size_t spikes = sim.spikes()[0].size();
-  // Fires at most a few times right after the pulse, then silence.
-  EXPECT_LE(spikes, 5u);
-  const auto after = sim.spikes()[0];
-  if (!after.empty()) {
-    EXPECT_LT(after.back(), 50.0);
-  }
+  const auto spikes = sim.spikes();
+  ASSERT_EQ(spikes[net.group(in).first].size(), 1u);
+  const auto& after = spikes[net.group(out).first];
+  // Fires at least once right after the pulse, at most a few times, then
+  // silence.
+  ASSERT_FALSE(after.empty());
+  EXPECT_LE(after.size(), 5u);
+  EXPECT_LT(after.back(), 50.0);
 }
 
 TEST(Simulator, RejectsNonPositiveDt) {

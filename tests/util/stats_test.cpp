@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 namespace snnmap::util {
 namespace {
 
@@ -61,80 +59,6 @@ TEST(Accumulator, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(a.mean(), 2.0);
   empty.merge(a);
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(Percentile, EmptyIsZero) { EXPECT_EQ(percentile({}, 50.0), 0.0); }
-
-TEST(Percentile, MedianAndExtremes) {
-  const std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 5.0);
-}
-
-TEST(Percentile, Interpolates) {
-  const std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 25.0), 2.5);
-  EXPECT_DOUBLE_EQ(percentile(v, 75.0), 7.5);
-}
-
-TEST(Percentile, ClampsOutOfRangeP) {
-  const std::vector<double> v{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(v, -5.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 150.0), 2.0);
-}
-
-TEST(MeanStddev, Helpers) {
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_NEAR(stddev_of({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}), 2.13809,
-              1e-4);
-  EXPECT_DOUBLE_EQ(stddev_of({1.0}), 0.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(Histogram, BinsValuesCorrectly) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(2.5);   // bin 1
-  h.add(9.99);  // bin 4
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, ClampsOutliersIntoEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  h.add(10.0);  // exactly hi -> last bin
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h(0.0, 4.0, 2);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  const std::string render = h.render(10);
-  EXPECT_NE(render.find('#'), std::string::npos);
-  EXPECT_NE(render.find('2'), std::string::npos);
 }
 
 }  // namespace
