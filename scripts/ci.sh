@@ -14,8 +14,8 @@
 #                  the ThreadPool suite (parallel_for and map) plus every
 #                  suite that fans work out over it from many threads.
 #   5. Perfbench — builds the perfbench harness (its own build file, which
-#                  no other leg compiles) and runs one short traced
-#                  paper-flow pass; fails on a nonzero harness exit.
+#                  no other leg compiles) and runs one short traced pass of
+#                  each workload; fails on a nonzero harness exit.
 # Legs 1-3 run the full CTest suite, so optimization-dependent breakage
 # (UB, fragile float expectations) and memory errors surface here and not
 # in a profile run.  Leg 4 runs the filtered concurrency subset (TSan's
@@ -102,6 +102,10 @@ fi
 # API change there could break the benchmark harness unseen by the legs
 # above.  The harness exits nonzero on any failed operation: a flow that
 # throws, PSO worse than PACMAN, or a traced/untraced parity mismatch.
+# Each workload drives a different path: the partitioners (paper-flow),
+# the one-shot NoC run (noc-mesh) and the closed loop (cosim-lockstep).
 echo "=== ci leg: perfbench (${PERFBENCH_BUILD_DIR:-build-perfbench}) ==="
-CARGO_TARGET_DIR="${PERFBENCH_BUILD_DIR:-build-perfbench}" \
-  python3 perfbench/run.py --workload paper-flow --seconds 1 --trace 1
+for workload in paper-flow noc-mesh cosim-lockstep; do
+  CARGO_TARGET_DIR="${PERFBENCH_BUILD_DIR:-build-perfbench}" \
+    python3 perfbench/run.py --workload "$workload" --seconds 1 --trace 1
+done

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/neutrams.hpp"
 #include "core/pacman.hpp"
@@ -52,6 +53,16 @@ std::vector<noc::SpikePacketEvent> build_traffic(
     const snn::SnnGraph& graph, const Partition& partition,
     const Placement& placement, std::uint32_t cycles_per_ms,
     std::uint32_t jitter_cycles) {
+  if (partition.neuron_count() != graph.neuron_count()) {
+    throw std::invalid_argument(
+        "build_traffic: partition covers " +
+        std::to_string(partition.neuron_count()) + " neurons, graph has " +
+        std::to_string(graph.neuron_count()));
+  }
+  if (!partition.is_complete()) {
+    throw std::invalid_argument(
+        "build_traffic: partition must assign every neuron");
+  }
   if (placement.size() != partition.crossbar_count()) {
     throw std::invalid_argument("build_traffic: placement size mismatch");
   }

@@ -88,7 +88,9 @@ Partition run_partitioner(const snn::SnnGraph& graph,
                           const MappingFlowConfig& config);
 
 /// Builds the AER traffic trace for a mapped SNN: one multicast event per
-/// source-neuron spike whose fan-out leaves its crossbar.
+/// source-neuron spike whose fan-out leaves its crossbar.  Throws
+/// std::invalid_argument unless the partition assigns every neuron of the
+/// graph and the placement has one tile per crossbar.
 std::vector<noc::SpikePacketEvent> build_traffic(
     const snn::SnnGraph& graph, const Partition& partition,
     const Placement& placement, std::uint32_t cycles_per_ms,

@@ -54,12 +54,6 @@ std::uint32_t Architecture::interconnect_tile_count() const noexcept {
   return crossbar_count;
 }
 
-std::uint32_t Architecture::tiles_per_chip() const noexcept {
-  const std::uint32_t tiles = interconnect_tile_count();
-  const std::uint32_t chips = chip_count == 0 ? 1 : chip_count;
-  return (tiles + chips - 1) / chips;
-}
-
 void Architecture::validate() const {
   if (crossbar_count == 0) {
     throw std::invalid_argument(

@@ -77,9 +77,6 @@ struct Architecture {
   /// fat-tree parameters).
   std::uint32_t interconnect_tile_count() const noexcept;
 
-  /// Tiles per chip under the contiguous split (last chip may be short).
-  std::uint32_t tiles_per_chip() const noexcept;
-
   /// Throws std::invalid_argument on degenerate parameters: zero crossbars,
   /// zero-neuron crossbars, zero chips (or more chips than tiles), tree
   /// arity < 2, degenerate dragonfly (needs a >= 2, g >= 2, h >= 1 and

@@ -62,27 +62,14 @@ RouterId Topology::neighbor(RouterId router, PortId port) const {
 }
 
 PortId Topology::next_port(RouterId router, RouterId dst) const {
-  if (router == dst) {
-    check_router(router);
-    return kLocalPort;
-  }
+  check_router(router);
+  check_router(dst);
+  if (router == dst) return kLocalPort;
   PortId candidates[3];
-  const std::uint32_t count = route_candidates(router, dst, candidates);
-  if (count == 0) {
+  if (compute_candidates(router, dst, candidates) == 0) {
     throw std::logic_error("Topology: no route candidate");
   }
   return candidates[0];
-}
-
-std::uint32_t Topology::route_candidates(RouterId router, RouterId dst,
-                                         PortId out[3]) const {
-  check_router(router);
-  check_router(dst);
-  if (router == dst) {
-    out[0] = kLocalPort;
-    return 1;
-  }
-  return compute_candidates(router, dst, out);
 }
 
 std::uint32_t Topology::compute_candidates(RouterId router, RouterId dst,

@@ -11,8 +11,8 @@
 // metadata), never an R x D table.  The simulator calls them once per
 // destination per hop (its route-compute stage keeps the result with the
 // buffered flit), so no table is needed to keep them off the hot path.
-// route_entry(), route_candidates() and next_port() agree entry for entry
-// (pinned by tests/noc/route_function_test).
+// next_port() is route_entry()'s first candidate, bounds-checked and not
+// packed into uint8 ports (pinned by tests/noc/route_function_test).
 //
 // A topology also carries the chip boundary: assign_chips(c) splits the tile
 // array contiguously across `c` chips and tags every link whose endpoints
@@ -107,16 +107,12 @@ class Topology {
   /// when router == dst.  Always the routing function's first candidate.
   PortId next_port(RouterId router, RouterId dst) const;
 
-  /// All legal next-hop ports toward `dst` (1 entry for the deterministic
-  /// algorithms, up to 3 for the adaptive ones).  Returns the count; `out`
-  /// must hold 3.  Every candidate is productive (lies on a minimal path),
-  /// so any selection among them preserves minimality.
-  std::uint32_t route_candidates(RouterId router, RouterId dst,
-                                 PortId out[3]) const;
-
-  /// Packed per-(router, dst) routing-table entry: the same candidates
-  /// route_candidates() returns.  Ports are uint8; an entry for
-  /// router == dst has count 1 and port[0] == kTableLocal.
+  /// Packed per-(router, dst) routing-table entry: every legal next-hop
+  /// port toward `dst` (1 for the deterministic algorithms, up to 3 for the
+  /// adaptive ones).  Every candidate is productive (lies on a minimal
+  /// path), so any selection among them preserves minimality.  Ports are
+  /// uint8; an entry for router == dst has count 1 and port[0] ==
+  /// kTableLocal.
   struct RouteEntry {
     std::uint8_t count = 0;
     std::uint8_t port[3] = {0, 0, 0};
@@ -146,7 +142,7 @@ class Topology {
 
   /// Fault-fallback next hops toward `dst`: every *minimal* productive
   /// port, ignoring the turn model.  The fault-aware simulator consults
-  /// these only after every route_candidates() port is fault-masked — a
+  /// these only after every route_entry() port is fault-masked — a
   /// mesh hop blocked on its X leg can still make progress on Y (and vice
   /// versa) even when the configured algorithm would forbid that turn.
   /// Mesh only (the other kinds either already enumerate every minimal
@@ -198,8 +194,8 @@ class Topology {
  private:
   Topology() = default;
   void finish_tiles_one_per_router(std::uint32_t n);
-  /// The per-topology routing function backing route_candidates() and
-  /// route_entry().  Unchecked ids; router != dst.
+  /// The per-topology routing function backing route_entry() and
+  /// next_port().  Unchecked ids; router != dst.
   std::uint32_t compute_candidates(RouterId router, RouterId dst,
                                    PortId out[3]) const;
   std::uint32_t mesh_candidates(RouterId router, RouterId dst,

@@ -187,21 +187,6 @@ void Network::add_synapse(NeuronId pre, NeuronId post, double weight,
   invalidate_index();
 }
 
-Network::GroupId Network::group_of(NeuronId id) const noexcept {
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (groups_[g].contains(id)) return g;
-  }
-  return kNoGroup;
-}
-
-NeuronId Network::global_id(GroupId g, std::uint32_t local) const {
-  check_group(g);
-  if (local >= groups_[g].size) {
-    throw std::out_of_range("Network: local neuron index out of range");
-  }
-  return groups_[g].first + local;
-}
-
 Network::GroupId Network::find_group(const std::string& name) const noexcept {
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     if (groups_[g].name == name) return g;

@@ -59,9 +59,6 @@ struct Group {
   std::function<double(std::uint32_t, double)> rate_fn;
 
   NeuronId last() const noexcept { return first + size; }  // one past end
-  bool contains(NeuronId id) const noexcept {
-    return id >= first && id < last();
-  }
 };
 
 /// Mutable SNN under construction; immutable once handed to the Simulator.
@@ -129,10 +126,6 @@ class Network {
   /// built afterwards.
   std::vector<Synapse>& mutable_synapses() noexcept { return synapses_; }
 
-  /// Group owning a neuron id (linear in group count; groups are few).
-  GroupId group_of(NeuronId id) const noexcept;
-  /// Global id of a group-local neuron (bounds-checked).
-  NeuronId global_id(GroupId g, std::uint32_t local) const;
   /// Looks up a group by name; returns kNoGroup when absent.
   GroupId find_group(const std::string& name) const noexcept;
 

@@ -63,8 +63,4 @@ SpikeTrain merge_trains(const SpikeTrain& a, const SpikeTrain& b) {
   return out;
 }
 
-std::size_t spike_count_distance(const SpikeTrain& a, const SpikeTrain& b) {
-  return a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
-}
-
 }  // namespace snnmap::snn

@@ -53,8 +53,4 @@ double isi_coefficient_of_variation(const SpikeTrain& train);
 /// Merges two sorted trains into one sorted train.
 SpikeTrain merge_trains(const SpikeTrain& a, const SpikeTrain& b);
 
-/// Victor-Purpura-style spike count distance: |count(a) - count(b)|.
-/// Used as a cheap train-similarity check in tests.
-std::size_t spike_count_distance(const SpikeTrain& a, const SpikeTrain& b);
-
 }  // namespace snnmap::snn

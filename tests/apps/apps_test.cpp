@@ -16,9 +16,11 @@ TEST(HelloWorld, TopologyMatchesTableI) {
   const auto g = build_hello_world(cfg);
   // 117 inputs + 117 grid + 9 out.
   EXPECT_EQ(g.neuron_count(), 117u + 117u + 9u);
-  ASSERT_EQ(g.group_names().size(), 3u);
-  EXPECT_EQ(g.group_names()[2], "out");
-  EXPECT_EQ(g.group_first()[3] - g.group_first()[2], 9u);
+  const auto net = build_hello_world_network(cfg);
+  ASSERT_EQ(net.group_count(), 3u);
+  EXPECT_EQ(net.group(2).name, "out");
+  EXPECT_EQ(net.group(2).size, 9u);
+  EXPECT_EQ(net.group(2).last(), g.neuron_count());
   // one-to-one + full: 117 + 117*9 edges.
   EXPECT_EQ(g.edge_count(), 117u + 117u * 9u);
 }
@@ -89,9 +91,10 @@ TEST(DigitRecognition, TopologyMatchesDiehlCook) {
   cfg.duration_ms = 100.0;
   const auto g = build_digit_recognition(cfg);
   EXPECT_EQ(g.neuron_count(), 784u + 250u + 250u);
-  ASSERT_EQ(g.group_names().size(), 3u);
-  EXPECT_EQ(g.group_names()[1], "exc");
-  EXPECT_EQ(g.group_names()[2], "inh");
+  const auto net = build_digit_recognition_network(cfg);
+  ASSERT_EQ(net.group_count(), 3u);
+  EXPECT_EQ(net.group(1).name, "exc");
+  EXPECT_EQ(net.group(2).name, "inh");
 }
 
 TEST(DigitRecognition, DigitImagesDifferByClass) {

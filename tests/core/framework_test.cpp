@@ -94,6 +94,23 @@ TEST(BuildTraffic, ValidatesPlacementSize) {
   EXPECT_THROW(build_traffic(g, p, {0}, 1000, 0), std::invalid_argument);
 }
 
+TEST(BuildTraffic, RejectsIncompletePartition) {
+  const auto g = tiny_workload();
+  // Target neuron 4 unassigned: its crossbar id would index past the
+  // per-crossbar scratch.
+  Partition unassigned(8, 2);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    if (i != 4) unassigned.assign(i, i < 4 ? 0 : 1);
+  }
+  EXPECT_THROW(build_traffic(g, unassigned, {0, 1}, 1000, 0),
+               std::invalid_argument);
+  // A partition of fewer neurons than the graph would be read past its end.
+  Partition short_part(7, 2);
+  for (std::uint32_t i = 0; i < 7; ++i) short_part.assign(i, i < 4 ? 0 : 1);
+  EXPECT_THROW(build_traffic(g, short_part, {0, 1}, 1000, 0),
+               std::invalid_argument);
+}
+
 TEST(Flow, EndToEndProducesConsistentReport) {
   const auto g = tiny_workload();
   MappingFlowConfig config;

@@ -38,13 +38,12 @@ TEST(MeshRouting, XyGoesXFirstYxGoesYFirst) {
 
 TEST(MeshRouting, DeterministicAlgorithmsHaveOneCandidate) {
   auto mesh = Topology::mesh(4, 4);
-  PortId out[3];
   for (const auto r : {MeshRouting::kXY, MeshRouting::kYX}) {
     mesh.set_mesh_routing(r);
     for (RouterId a = 0; a < 16; ++a) {
       for (RouterId b = 0; b < 16; ++b) {
         if (a == b) continue;
-        EXPECT_EQ(mesh.route_candidates(a, b, out), 1u);
+        EXPECT_EQ(mesh.route_entry(a, b).count, 1u);
       }
     }
   }
@@ -53,16 +52,16 @@ TEST(MeshRouting, DeterministicAlgorithmsHaveOneCandidate) {
 TEST(MeshRouting, WestFirstForcesWestwardMoves) {
   auto mesh = Topology::mesh(4, 4);
   mesh.set_mesh_routing(MeshRouting::kWestFirst);
-  PortId out[3];
   // 5=(1,1) -> 0=(0,0): west is productive, so west is the only candidate.
-  ASSERT_EQ(mesh.route_candidates(5, 0, out), 1u);
-  EXPECT_EQ(mesh.neighbor(5, out[0]), 4u);
+  const Topology::RouteEntry west = mesh.route_entry(5, 0);
+  ASSERT_EQ(west.count, 1u);
+  EXPECT_EQ(mesh.neighbor(5, west.port[0]), 4u);
   // 5=(1,1) -> 15=(3,3): east+south both legal (adaptive).
-  const auto count = mesh.route_candidates(5, 15, out);
-  EXPECT_EQ(count, 2u);
+  const Topology::RouteEntry out = mesh.route_entry(5, 15);
+  EXPECT_EQ(out.count, 2u);
   std::set<RouterId> nexts;
-  for (std::uint32_t k = 0; k < count; ++k) {
-    nexts.insert(mesh.neighbor(5, out[k]));
+  for (std::uint32_t k = 0; k < out.count; ++k) {
+    nexts.insert(mesh.neighbor(5, out.port[k]));
   }
   EXPECT_EQ(nexts, (std::set<RouterId>{6, 9}));
 }
@@ -70,15 +69,15 @@ TEST(MeshRouting, WestFirstForcesWestwardMoves) {
 TEST(MeshRouting, NorthLastDefersNorthMoves) {
   auto mesh = Topology::mesh(4, 4);
   mesh.set_mesh_routing(MeshRouting::kNorthLast);
-  PortId out[3];
   // 13=(1,3) -> 2=(2,0): east productive and north productive; north must
   // not be offered while east is available.
-  const auto count = mesh.route_candidates(13, 2, out);
-  ASSERT_EQ(count, 1u);
-  EXPECT_EQ(mesh.neighbor(13, out[0]), 14u);  // east only
+  const Topology::RouteEntry east = mesh.route_entry(13, 2);
+  ASSERT_EQ(east.count, 1u);
+  EXPECT_EQ(mesh.neighbor(13, east.port[0]), 14u);  // east only
   // 14=(2,3) -> 2=(2,0): pure north -> north allowed as the sole option.
-  ASSERT_EQ(mesh.route_candidates(14, 2, out), 1u);
-  EXPECT_EQ(mesh.neighbor(14, out[0]), 10u);
+  const Topology::RouteEntry north = mesh.route_entry(14, 2);
+  ASSERT_EQ(north.count, 1u);
+  EXPECT_EQ(mesh.neighbor(14, north.port[0]), 10u);
 }
 
 TEST(MeshRouting, AllCandidatesAreProductive) {
@@ -89,17 +88,16 @@ TEST(MeshRouting, AllCandidatesAreProductive) {
     const int bx = static_cast<int>(b % 5), by = static_cast<int>(b / 5);
     return std::abs(ax - bx) + std::abs(ay - by);
   };
-  PortId out[3];
   for (const auto r : {MeshRouting::kXY, MeshRouting::kYX,
                        MeshRouting::kWestFirst, MeshRouting::kNorthLast}) {
     mesh.set_mesh_routing(r);
     for (RouterId a = 0; a < 20; ++a) {
       for (RouterId b = 0; b < 20; ++b) {
         if (a == b) continue;
-        const auto count = mesh.route_candidates(a, b, out);
-        ASSERT_GE(count, 1u) << to_string(r);
-        for (std::uint32_t k = 0; k < count; ++k) {
-          EXPECT_EQ(manhattan(mesh.neighbor(a, out[k]), b),
+        const Topology::RouteEntry e = mesh.route_entry(a, b);
+        ASSERT_GE(e.count, 1u) << to_string(r);
+        for (std::uint32_t k = 0; k < e.count; ++k) {
+          EXPECT_EQ(manhattan(mesh.neighbor(a, e.port[k]), b),
                     manhattan(a, b) - 1)
               << to_string(r) << " " << a << "->" << b;
         }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace snnmap::noc {
@@ -479,6 +480,75 @@ TEST(NocSimulatorSession, RunCyclesIsRelative) {
   sim.run_cycles(10);
   EXPECT_EQ(sim.now(), 10u);
   EXPECT_EQ(sim.drain_delivered().size(), 1u);
+}
+
+TEST(NocSimulatorSession, RunUntilBelowNowIsNoOp) {
+  // A limit behind now() returns now() and changes nothing: the session
+  // then finishes exactly as one that never made the call.
+  const auto trace = [] {
+    return std::vector<SpikePacketEvent>{event(0, 1, 0, {15}),
+                                         event(2, 2, 5, {10, 12})};
+  };
+  NocSimulator reference(Topology::mesh(4, 4), NocConfig{});
+  reference.begin();
+  reference.enqueue(trace());
+  reference.run_until(4);
+  reference.run_until(kNoCycleLimit);
+  const auto expected = reference.finish();
+
+  NocSimulator sim(Topology::mesh(4, 4), NocConfig{});
+  sim.begin();
+  sim.enqueue(trace());
+  ASSERT_EQ(sim.run_until(4), 4u);
+  const std::size_t in_flight = sim.in_flight();
+  ASSERT_GT(in_flight, 0u);
+  const auto early = sim.drain_delivered();
+  EXPECT_EQ(sim.run_until(1), 4u);
+  EXPECT_EQ(sim.run_until(0), 4u);
+  EXPECT_EQ(sim.now(), 4u);
+  EXPECT_EQ(sim.in_flight(), in_flight);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_FALSE(sim.halted());
+  EXPECT_TRUE(sim.drain_delivered().empty());
+  sim.run_until(kNoCycleLimit);
+  auto log = sim.drain_delivered();
+  log.insert(log.begin(), early.begin(), early.end());
+  const auto finished = sim.finish();
+
+  ASSERT_EQ(log.size(), expected.delivered.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].dest_tile, expected.delivered[i].dest_tile);
+    EXPECT_EQ(log[i].recv_cycle, expected.delivered[i].recv_cycle);
+  }
+  EXPECT_EQ(finished.stats.duration_cycles, expected.stats.duration_cycles);
+  EXPECT_EQ(finished.stats.link_hops, expected.stats.link_hops);
+  EXPECT_EQ(finished.stats.router_traversals,
+            expected.stats.router_traversals);
+  EXPECT_TRUE(finished.stats.drained);
+}
+
+TEST(NocSimulatorSession, RunCyclesSaturates) {
+  // now() + UINT64_MAX would wrap to a limit behind now(); run_cycles
+  // saturates it to kNoCycleLimit instead, so the session runs to drain.
+  NocSimulator reference(Topology::mesh(4, 4), NocConfig{});
+  reference.begin();
+  reference.enqueue({event(0, 1, 0, {15}), event(40, 2, 3, {12})});
+  reference.run_until(5);
+  const std::uint64_t drained_at = reference.run_until(kNoCycleLimit);
+
+  NocSimulator sim(Topology::mesh(4, 4), NocConfig{});
+  sim.begin();
+  sim.enqueue({event(0, 1, 0, {15}), event(40, 2, 3, {12})});
+  ASSERT_EQ(sim.run_cycles(5), 5u);
+  const std::uint64_t end = sim.run_cycles(UINT64_MAX);
+  EXPECT_EQ(end, drained_at);
+  EXPECT_EQ(sim.now(), end);
+  EXPECT_GE(end, 40u);
+  EXPECT_LT(end, kNoCycleLimit);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_FALSE(sim.halted());
+  EXPECT_EQ(sim.drain_delivered().size(), 2u);
+  EXPECT_TRUE(sim.finish().stats.drained);
 }
 
 TEST(NocSimulatorSession, HaltsAtMaxCyclesAndStaysHalted) {

@@ -310,13 +310,11 @@ TEST(Topology, EveryCandidateLiesOnAMinimalPath) {
         if (a == b) continue;
         const RouterId src = topo.router_of_tile(a);
         const RouterId dst = topo.router_of_tile(b);
-        PortId candidates[3];
-        const std::uint32_t count =
-            topo.route_candidates(src, dst, candidates);
-        ASSERT_GE(count, 1u);
-        ASSERT_LE(count, 3u);
-        for (std::uint32_t c = 0; c < count; ++c) {
-          RouterId r = topo.neighbor(src, candidates[c]);
+        const Topology::RouteEntry e = topo.route_entry(src, dst);
+        ASSERT_GE(e.count, 1u);
+        ASSERT_LE(e.count, 3u);
+        for (std::uint32_t c = 0; c < e.count; ++c) {
+          RouterId r = topo.neighbor(src, e.port[c]);
           std::uint32_t hops = 1;
           while (r != dst) {
             ASSERT_LE(++hops, topo.router_count());

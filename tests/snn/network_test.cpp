@@ -17,9 +17,6 @@ TEST(Network, GroupsAreContiguous) {
   EXPECT_EQ(net.group(a).first, 0u);
   EXPECT_EQ(net.group(b).first, 10u);
   EXPECT_EQ(net.group(c).first, 15u);
-  EXPECT_EQ(net.group_of(0), a);
-  EXPECT_EQ(net.group_of(12), b);
-  EXPECT_EQ(net.group_of(17), c);
 }
 
 TEST(Network, RejectsEmptyGroup) {
@@ -30,16 +27,6 @@ TEST(Network, RejectsEmptyGroup) {
 TEST(Network, RejectsNegativePoissonRate) {
   Network net;
   EXPECT_THROW(net.add_poisson_group("x", 4, -1.0), std::invalid_argument);
-}
-
-TEST(Network, GlobalIdMapping) {
-  Network net;
-  net.add_lif_group("a", 10);
-  const auto b = net.add_lif_group("b", 5);
-  EXPECT_EQ(net.global_id(b, 0), 10u);
-  EXPECT_EQ(net.global_id(b, 4), 14u);
-  EXPECT_THROW(net.global_id(b, 5), std::out_of_range);
-  EXPECT_THROW(net.global_id(99, 0), std::out_of_range);
 }
 
 TEST(Network, FindGroupByName) {

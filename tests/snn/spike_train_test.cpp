@@ -69,11 +69,5 @@ TEST(SpikeTrain, MergeWithEmpty) {
   EXPECT_EQ(merge_trains({}, a), a);
 }
 
-TEST(SpikeTrain, CountDistance) {
-  EXPECT_EQ(spike_count_distance({1.0, 2.0}, {1.0}), 1u);
-  EXPECT_EQ(spike_count_distance({1.0}, {1.0, 2.0, 3.0}), 2u);
-  EXPECT_EQ(spike_count_distance({}, {}), 0u);
-}
-
 }  // namespace
 }  // namespace snnmap::snn
