@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "snn/network.hpp"
 #include "snn/simulator.hpp"
 
@@ -62,6 +64,12 @@ TEST(SnnGraph, RejectsTrainCountMismatch) {
                std::invalid_argument);
 }
 
+TEST(SnnGraph, RejectsMalformedGroups) {
+  EXPECT_THROW(
+      SnnGraph::from_parts(2, {}, {{}, {}}, 10.0, {"a"}, {0, 5}),
+      std::invalid_argument);
+}
+
 TEST(SnnGraph, FromSimulationCollapsesParallelEdges) {
   Network net;
   net.add_lif_group("a", 2);
@@ -73,6 +81,60 @@ TEST(SnnGraph, FromSimulationCollapsesParallelEdges) {
   const auto g = SnnGraph::from_simulation(net, sim.run());
   ASSERT_EQ(g.edge_count(), 1u);
   EXPECT_FLOAT_EQ(g.edges()[0].weight, 3.0F);  // weights summed
+}
+
+TEST(SnnGraph, FromSimulationKeepsGroupAnnotations) {
+  Network net;
+  net.add_poisson_group("in", 3, 10.0);
+  net.add_lif_group("out", 2);
+  SimulationConfig cfg;
+  cfg.duration_ms = 50.0;
+  Simulator sim(net, cfg);
+  const auto g = SnnGraph::from_simulation(net, sim.run());
+  ASSERT_EQ(g.group_names().size(), 2u);
+  EXPECT_EQ(g.group_names()[0], "in");
+  EXPECT_EQ(g.group_first()[1], 3u);
+  EXPECT_EQ(g.group_first()[2], 5u);
+}
+
+TEST(SnnGraph, SaveLoadRoundTrip) {
+  const auto g = tiny_graph();
+  std::stringstream stream;
+  g.save(stream);
+  const auto loaded = SnnGraph::load(stream);
+  EXPECT_EQ(loaded.neuron_count(), g.neuron_count());
+  EXPECT_EQ(loaded.edge_count(), g.edge_count());
+  EXPECT_EQ(loaded.total_spikes(), g.total_spikes());
+  EXPECT_EQ(loaded.spike_train(0), g.spike_train(0));
+  EXPECT_DOUBLE_EQ(loaded.duration_ms(), g.duration_ms());
+  for (std::size_t i = 0; i < g.edge_count(); ++i) {
+    EXPECT_EQ(loaded.edges()[i].pre, g.edges()[i].pre);
+    EXPECT_EQ(loaded.edges()[i].post, g.edges()[i].post);
+    EXPECT_FLOAT_EQ(loaded.edges()[i].weight, g.edges()[i].weight);
+  }
+}
+
+TEST(SnnGraph, LoadRejectsBadHeader) {
+  std::stringstream stream("bogus 7\n");
+  EXPECT_THROW(SnnGraph::load(stream), std::runtime_error);
+}
+
+TEST(SnnGraph, LoadRejectsTruncated) {
+  std::stringstream stream("snngraph 1\n3 2 100\n0\n0 1 1.0\n");
+  EXPECT_THROW(SnnGraph::load(stream), std::runtime_error);
+}
+
+TEST(SnnGraph, LoadRejectsCountsPastTheStream) {
+  // Neuron, edge, group and spike counts far past what the stream holds
+  // fail as truncation after reading what is there; none sizes an
+  // allocation up front.
+  for (const char* text : {"snngraph 1\n4000000000 0 100\n0\n",
+                           "snngraph 1\n2 1000000000000 100\n0\n",
+                           "snngraph 1\n2 0 100\n1000000000000\n",
+                           "snngraph 1\n1 0 100\n0\n1000000000000 5\n"}) {
+    std::stringstream stream(text);
+    EXPECT_THROW(SnnGraph::load(stream), std::runtime_error) << text;
+  }
 }
 
 }  // namespace
