@@ -271,7 +271,6 @@ int main(int argc, char** argv) {
     if (threads_set) {
       flow.pso.threads = threads;
       flow.genetic.threads = threads;
-      flow.annealing.threads = threads;
     }
     if (!partitioner_override.empty()) {
       flow.partitioner = core::partitioner_from_string(partitioner_override);

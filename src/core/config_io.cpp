@@ -132,16 +132,11 @@ MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
       "pso.refine_sweeps", flow.pso.refine_sweeps);
   flow.pso.refine_swap_factor = config.uint_or(
       "pso.refine_swap_factor", flow.pso.refine_swap_factor);
-  flow.pso.patience = config.uint_or("pso.patience", flow.pso.patience);
   flow.pso.threads = config.uint_or("pso.threads", flow.pso.threads);
 
   // -- annealing / genetic (ablation partitioners)
   flow.annealing.moves = config.uint_or(
       "annealing.moves", flow.annealing.moves);
-  flow.annealing.restarts = config.uint_or(
-      "annealing.restarts", flow.annealing.restarts);
-  flow.annealing.threads = config.uint_or(
-      "annealing.threads", flow.annealing.threads);
   flow.genetic.population = config.uint_or(
       "genetic.population", flow.genetic.population);
   flow.genetic.generations = config.uint_or(
@@ -266,12 +261,9 @@ void mapping_flow_to_config(const MappingFlowConfig& flow,
   config.set("pso.refine_sweeps", std::to_string(flow.pso.refine_sweeps));
   config.set("pso.refine_swap_factor",
              std::to_string(flow.pso.refine_swap_factor));
-  config.set("pso.patience", std::to_string(flow.pso.patience));
   config.set("pso.threads", std::to_string(flow.pso.threads));
 
   config.set("annealing.moves", std::to_string(flow.annealing.moves));
-  config.set("annealing.restarts", std::to_string(flow.annealing.restarts));
-  config.set("annealing.threads", std::to_string(flow.annealing.threads));
   config.set("genetic.population", std::to_string(flow.genetic.population));
   config.set("genetic.generations",
              std::to_string(flow.genetic.generations));

@@ -14,7 +14,7 @@ CostModel::CostModel(const snn::SnnGraph& graph) : graph_(graph) {
     edges_.push_back({e.pre, e.post, spikes});
     total_events_ += spikes;
   }
-  // Undirected incidence CSR for O(degree) move deltas.
+  // Undirected incidence CSR for O(degree) incident-spike tallies.
   const std::uint32_t n = graph.neuron_count();
   adj_offsets_.assign(n + 1, 0);
   for (const auto& e : edges_) {
@@ -242,24 +242,6 @@ double CostModel::local_energy_pj(const Partition& partition,
                                   const hw::EnergyModel& energy) const {
   return static_cast<double>(local_event_count(partition)) *
          energy.crossbar_event_pj;
-}
-
-std::int64_t CostModel::move_delta(const Partition& partition,
-                                   std::uint32_t neuron, CrossbarId to) const {
-  const auto& part = partition.assignment();
-  const CrossbarId from = part[neuron];
-  if (from == to) return 0;
-  std::int64_t delta = 0;
-  for (std::uint32_t k = adj_offsets_[neuron]; k < adj_offsets_[neuron + 1];
-       ++k) {
-    const CrossbarId other = part[adj_other_[k]];
-    const auto spikes = static_cast<std::int64_t>(adj_spikes_[k]);
-    const bool cut_before = other != from;
-    const bool cut_after = other != to;
-    if (cut_before && !cut_after) delta -= spikes;
-    if (!cut_before && cut_after) delta += spikes;
-  }
-  return delta;
 }
 
 std::vector<std::uint64_t> CostModel::traffic_matrix(

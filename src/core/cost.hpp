@@ -8,7 +8,8 @@
 //     remote crossbar — what the NoC actually carries),
 //   * local synaptic event counts (crossbar energy),
 //   * an analytic energy estimate used for quick exploration, and
-//   * O(degree) move deltas for the annealing/greedy ablation partitioners.
+//   * O(degree) per-crossbar tallies of a neuron's incident spikes for the
+//     PSO capacity repair.
 #pragma once
 
 #include <cstdint>
@@ -97,11 +98,6 @@ class CostModel {
   double local_energy_pj(const Partition& partition,
                          const hw::EnergyModel& energy) const;
 
-  /// Change in global_spike_count if `neuron` moved to `to` (negative =
-  /// improvement).  O(degree of neuron).
-  std::int64_t move_delta(const Partition& partition, std::uint32_t neuron,
-                          CrossbarId to) const;
-
   /// Symmetric traffic matrix between crossbars (spike counts), flattened
   /// row-major [k1 * C + k2]; used by communication-aware placement.
   std::vector<std::uint64_t> traffic_matrix(const Partition& partition) const;
@@ -114,8 +110,9 @@ class CostModel {
 
   const snn::SnnGraph& graph_;
   std::vector<WeightedEdge> edges_;
-  // CSR adjacency over undirected incidence for move_delta: for neuron n,
-  // (other endpoint, charged spikes) of every edge touching n.
+  // CSR adjacency over undirected incidence for tally_incident_spikes: for
+  // neuron n, (other endpoint, charged spikes) of every non-self-loop edge
+  // touching n.
   std::vector<std::uint32_t> adj_offsets_;
   std::vector<std::uint32_t> adj_other_;
   std::vector<std::uint64_t> adj_spikes_;

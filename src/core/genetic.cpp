@@ -11,6 +11,8 @@
 namespace snnmap::core {
 namespace {
 
+constexpr double kCrossoverRate = 0.9;  ///< chance of uniform crossover
+constexpr std::uint32_t kTournament = 3;  ///< contestants per selection
 constexpr double kMutationRate = 0.02;  ///< per-gene reassignment probability
 
 using Genome = std::vector<CrossbarId>;
@@ -52,6 +54,9 @@ GeneticResult genetic_partition(const snn::SnnGraph& graph,
   if (config.population < 2) {
     throw std::invalid_argument("genetic_partition: population must be >= 2");
   }
+  if (config.generations == 0) {
+    throw std::invalid_argument("genetic_partition: generations must be >= 1");
+  }
   util::Rng rng(config.seed);
   const CostModel model(graph);
   util::ThreadPool pool(
@@ -65,10 +70,8 @@ GeneticResult genetic_partition(const snn::SnnGraph& graph,
     for (auto& gene : g) gene = static_cast<CrossbarId>(rng.below(c));
     repair(g, arch, rng);
   }
-  if (config.seed_with_baselines) {
-    population[0] = pacman_partition(graph, arch).assignment();
-    population[1] = neutrams_partition(graph, arch).assignment();
-  }
+  population[0] = pacman_partition(graph, arch).assignment();
+  population[1] = neutrams_partition(graph, arch).assignment();
 
   GeneticResult result;
   std::vector<std::uint64_t> fitness(config.population);
@@ -77,7 +80,7 @@ GeneticResult genetic_partition(const snn::SnnGraph& graph,
 
   const auto tournament_pick = [&]() -> std::size_t {
     std::size_t winner = static_cast<std::size_t>(rng.below(population.size()));
-    for (std::uint32_t t = 1; t < config.tournament; ++t) {
+    for (std::uint32_t t = 1; t < kTournament; ++t) {
       const std::size_t rival =
           static_cast<std::size_t>(rng.below(population.size()));
       if (fitness[rival] < fitness[winner]) winner = rival;
@@ -105,7 +108,7 @@ GeneticResult genetic_partition(const snn::SnnGraph& graph,
     next.push_back(best);  // elitism
     while (next.size() < population.size()) {
       Genome child = population[tournament_pick()];
-      if (rng.chance(config.crossover_rate)) {
+      if (rng.chance(kCrossoverRate)) {
         const Genome& other = population[tournament_pick()];
         for (std::uint32_t i = 0; i < n; ++i) {
           if (rng.chance(0.5)) child[i] = other[i];

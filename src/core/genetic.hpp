@@ -1,7 +1,8 @@
 // Genetic-algorithm partitioner (ablation comparator; see annealing.hpp for
-// why these exist).  Chromosome = assignment vector; tournament selection,
-// uniform crossover, random-reassignment mutation, capacity repair after
-// every variation, elitism of 1.
+// why these exist).  Chromosome = assignment vector; the PACMAN and NEUTRAMS
+// solutions seed the initial population; tournament selection, uniform
+// crossover, random-reassignment mutation, capacity repair after every
+// variation, elitism of 1.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +18,6 @@ namespace snnmap::core {
 struct GeneticConfig {
   std::uint32_t population = 100;
   std::uint32_t generations = 100;
-  double crossover_rate = 0.9;
-  std::uint32_t tournament = 3;
-  bool seed_with_baselines = true;
   Objective objective = Objective::kAerPackets;
   std::uint64_t seed = 42;
   /// Worker threads for batch fitness evaluation: 0 = one per hardware

@@ -8,8 +8,8 @@
 //   * n's own packet term changes only through which crossbar is "local";
 //   * an in-neighbor u gains remote crossbar b iff n is u's first target
 //     there, and loses a iff n was u's last target there.
-// Used by the PSO's memetic refinement sweeps and by the annealing
-// partitioner when it optimizes the packet objective directly.
+// Used by the PSO's memetic refinement sweeps, the annealing partitioner
+// (which optimizes the packet objective directly) and the runtime remapper.
 #pragma once
 
 #include <cstdint>

@@ -265,7 +265,6 @@ PsoResult PsoPartitioner::optimize() {
   std::vector<CrossbarId> gbest;
   std::uint64_t gbest_cost = ~0ULL;
   PsoResult result;
-  std::uint32_t stale = 0;
 
   std::vector<Particle> swarm(config_.swarm_size);
   step_swarm(swarm, 0, gbest, seeds);
@@ -308,8 +307,6 @@ PsoResult PsoPartitioner::optimize() {
     if (config_.track_history) result.history.push_back(gbest_cost);
     result.iterations_run = iter + 1;
 
-    stale = improved ? 0 : stale + 1;
-    if (config_.patience != 0 && stale >= config_.patience) break;
     if (iter + 1 == config_.iterations) break;  // skip final wasted update
 
     step_swarm(swarm, iter + 1, gbest, seeds);

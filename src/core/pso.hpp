@@ -69,9 +69,6 @@ struct PsoConfig {
   /// particle).
   std::uint32_t threads = 0;
   bool track_history = false;       ///< record Gbest cost per iteration
-  /// Stop early after this many iterations without Gbest improvement
-  /// (0 = never stop early; the paper runs a fixed iteration budget).
-  std::uint32_t patience = 0;
 };
 
 struct PsoResult {

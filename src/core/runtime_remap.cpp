@@ -5,6 +5,15 @@
 #include "util/log.hpp"
 
 namespace snnmap::core {
+namespace {
+
+/// An epoch stops once the best available step improves the current cost
+/// by less than this fraction (avoids paying migration cost for noise).
+constexpr double kMinRelativeGain = 0.005;
+/// Random swap candidates examined per migration step.
+constexpr std::uint32_t kSwapCandidates = 256;
+
+}  // namespace
 
 RuntimeRemapper::RuntimeRemapper(hw::Architecture arch, Partition initial,
                                  RemapConfig config)
@@ -59,7 +68,7 @@ RemapEpochReport RuntimeRemapper::observe_phase(
     const bool swap_affordable =
         report.migrations + 2 <= config_.max_migrations_per_epoch;
     if (swap_affordable) {
-      for (std::uint32_t t = 0; t < config_.swap_candidates; ++t) {
+      for (std::uint32_t t = 0; t < kSwapCandidates; ++t) {
         const auto a = static_cast<std::uint32_t>(rng_.below(n));
         const auto b = static_cast<std::uint32_t>(rng_.below(n));
         const CrossbarId ca = inc.crossbar_of(a);
@@ -86,7 +95,7 @@ RemapEpochReport RuntimeRemapper::observe_phase(
     const double relative = -static_cast<double>(chosen) /
                             std::max<double>(1.0, static_cast<double>(
                                                       inc.cost()));
-    if (relative < config_.min_relative_gain) break;
+    if (relative < kMinRelativeGain) break;
 
     if (best_delta <= best_swap_delta && best_to != kUnassigned) {
       inc.apply_move(best_neuron, best_to);

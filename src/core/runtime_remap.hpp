@@ -9,7 +9,8 @@
 // works under a *migration budget*: per observed phase it applies at most
 // `max_migrations_per_epoch` neuron moves/swaps, chosen greedily by their
 // AER-packet improvement on the newly observed traffic, and only while each
-// step's relative improvement exceeds `min_relative_gain`.
+// step's relative improvement reaches 0.5% of the current cost (so no
+// migration cost is paid for noise).
 #pragma once
 
 #include <cstdint>
@@ -25,11 +26,6 @@ namespace snnmap::core {
 struct RemapConfig {
   /// Hard cap on neuron migrations per observed phase (a swap costs two).
   std::uint32_t max_migrations_per_epoch = 16;
-  /// Stop early once the best available step improves the current cost by
-  /// less than this fraction (avoids paying migration cost for noise).
-  double min_relative_gain = 0.005;
-  /// Random swap candidates examined per migration step.
-  std::uint32_t swap_candidates = 256;
   std::uint64_t seed = 42;
 };
 
@@ -73,10 +69,11 @@ class RuntimeRemapper {
   /// currently mapped onto one of them to the live crossbar (with spare
   /// capacity) that minimizes the AER-packet cost of `traffic_graph`.
   /// Evacuation is *forced*: unlike observe_phase it ignores the migration
-  /// budget and min_relative_gain (a neuron on a dead crossbar is silent
-  /// hardware; any live home beats none).  Neurons that fit nowhere are
-  /// reported stranded and keep their (dead) assignment so the partition
-  /// stays structurally valid; callers account their spikes as lost.
+  /// budget and the minimum relative gain (a neuron on a dead crossbar is
+  /// silent hardware; any live home beats none).  Neurons that fit nowhere
+  /// are reported stranded and keep their (dead) assignment so the
+  /// partition stays structurally valid; callers account their spikes as
+  /// lost.
   /// Dead crossbars accumulate across calls.
   EvacuationReport evacuate(const std::vector<CrossbarId>& dead,
                             const snn::SnnGraph& traffic_graph);

@@ -281,7 +281,6 @@ CoSimResult CoSimulator::run() {
   CoSimResult out;
   FidelityReport& fid = out.fidelity;
   fid.steps = steps_;
-  fid.per_step_transit.assign(steps_, util::Accumulator{});
   fid.per_step_misses.assign(steps_, 0);
   fid.per_step_energy_pj.assign(steps_, 0.0);
   fid.per_step_cycles.assign(steps_, nominal);
@@ -444,13 +443,8 @@ CoSimResult CoSimulator::run() {
     const auto delivered = noc_.drain_delivered();
     for (const noc::DeliveredSpike& d : delivered) {
       const std::uint64_t transit = d.recv_cycle - d.emit_cycle;
-      // Deliveries are drained every window, so everything observed here
-      // arrived during window t (variable DVFS spans make a division by a
-      // fixed budget meaningless anyway).
-      const std::uint64_t arrival_step = t;
       ++fid.copies_arrived;
       fid.transit_cycles.add(static_cast<double>(transit));
-      fid.per_step_transit[arrival_step].add(static_cast<double>(transit));
 
       if (bounded) {
         if (window_accepts[d.dest_tile] == 0) {

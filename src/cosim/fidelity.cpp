@@ -123,9 +123,8 @@ snn::SnnGraph observed_graph_from_noc(
     trains[i] = std::move(train);
   }
 
-  return snn::SnnGraph::from_parts(
-      analytic.neuron_count(), analytic.edges(), std::move(trains),
-      analytic.duration_ms(), analytic.group_names(), analytic.group_first());
+  return snn::SnnGraph::from_parts(analytic.neuron_count(), analytic.edges(),
+                                   std::move(trains), analytic.duration_ms());
 }
 
 }  // namespace snnmap::cosim

@@ -33,9 +33,6 @@ struct FidelityReport {
   std::uint64_t deadline_misses = 0;
 
   util::Accumulator transit_cycles;  ///< recv - emit, per arrived copy
-  /// Transit accumulator per *arrival* step (latency the crossbar saw that
-  /// step); empty accumulators mark windows with no arrivals.
-  std::vector<util::Accumulator> per_step_transit;
   /// Deadline misses per *emission* step.
   std::vector<std::uint32_t> per_step_misses;
 

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "snn/network.hpp"
@@ -43,9 +41,7 @@ class SnnGraph {
   static SnnGraph from_parts(std::uint32_t neuron_count,
                              std::vector<GraphEdge> edges,
                              std::vector<SpikeTrain> spike_times,
-                             TimeMs duration_ms,
-                             std::vector<std::string> group_names = {},
-                             std::vector<std::uint32_t> group_first = {});
+                             TimeMs duration_ms);
 
   std::uint32_t neuron_count() const noexcept { return neuron_count_; }
   std::size_t edge_count() const noexcept { return edges_.size(); }
@@ -71,25 +67,8 @@ class SnnGraph {
     return fanout_offsets_.at(i + 1) - fanout_offsets_.at(i);
   }
 
-  /// Group annotations carried over from the network (may be empty when the
-  /// graph was built synthetically).  group_first has one extra sentinel
-  /// entry equal to neuron_count.
-  const std::vector<std::string>& group_names() const noexcept {
-    return group_names_;
-  }
-  const std::vector<std::uint32_t>& group_first() const noexcept {
-    return group_first_;
-  }
-
   /// Mean firing rate over all neurons in Hz.
   double mean_rate_hz() const noexcept;
-
-  /// Plain-text serialization (round-trips via load); versioned header.
-  /// load throws std::runtime_error on a malformed or truncated stream and
-  /// allocates only for the records it has read, whatever counts the
-  /// stream declares.
-  void save(std::ostream& out) const;
-  static SnnGraph load(std::istream& in);
 
  private:
   void build_fanout();
@@ -102,8 +81,6 @@ class SnnGraph {
   std::uint64_t total_spikes_ = 0;
   std::vector<std::uint32_t> fanout_offsets_;
   std::vector<NeuronId> fanout_targets_;
-  std::vector<std::string> group_names_;
-  std::vector<std::uint32_t> group_first_;
 };
 
 }  // namespace snnmap::snn

@@ -196,6 +196,9 @@ TEST(ConfigIo, RemovedAndMisspelledKeysThrow) {
   expect_unknown("pso:\n  inertia: 0.72\n", "'pso.inertia'");
   expect_unknown("noc:\n  bufer_depth: 2\n", "'noc.bufer_depth'");
   expect_unknown("noc:\n  engine: cycle\n", "'noc.engine'");
+  expect_unknown("pso:\n  patience: 5\n", "'pso.patience'");
+  expect_unknown("annealing:\n  restarts: 3\n", "'annealing.restarts'");
+  expect_unknown("annealing:\n  threads: 2\n", "'annealing.threads'");
 
   // One file feeds both loaders, so each accepts the other's keys.
   const auto both = util::Config::parse(
@@ -511,8 +514,6 @@ TEST(ConfigIo, AnnealingAndGeneticKeys) {
 TEST(ConfigIo, SerializedSchemaIsPinned) {
   static const char* const kSchema[] = {
       "annealing.moves",
-      "annealing.restarts",
-      "annealing.threads",
       "arch.chips",
       "arch.crossbars",
       "arch.cycles_per_ms",
@@ -561,7 +562,6 @@ TEST(ConfigIo, SerializedSchemaIsPinned) {
       "noc.selection",
       "pso.iterations",
       "pso.objective",
-      "pso.patience",
       "pso.refine_swap_factor",
       "pso.refine_sweeps",
       "pso.seed_with_baselines",

@@ -142,25 +142,6 @@ TEST(CostModel, MulticastCountMatchesBruteForce) {
   }
 }
 
-TEST(CostModel, MoveDeltaMatchesRecomputation) {
-  const auto g = chain_graph();
-  const CostModel cost(g);
-  auto p = make_partition({0, 0, 1, 1}, 2);
-  const std::uint64_t before = cost.global_spike_count(p);
-  for (std::uint32_t neuron = 0; neuron < 4; ++neuron) {
-    for (CrossbarId to = 0; to < 2; ++to) {
-      const std::int64_t delta = cost.move_delta(p, neuron, to);
-      const CrossbarId from = p.crossbar_of(neuron);
-      p.assign(neuron, to);
-      const std::uint64_t after = cost.global_spike_count(p);
-      p.assign(neuron, from);  // restore
-      EXPECT_EQ(static_cast<std::int64_t>(after),
-                static_cast<std::int64_t>(before) + delta)
-          << "neuron " << neuron << " -> " << to;
-    }
-  }
-}
-
 TEST(CostModel, TallyIncidentSpikesMatchesEdgeList) {
   // Chain graph plus a self-loop on 2; neuron 2 is unassigned, as an
   // evicted neuron is during capacity repair.
@@ -201,7 +182,11 @@ TEST(CostModel, SelfLoopsNeverCount) {
   const CostModel cost(g);
   // Only 0->1 can be cut.
   EXPECT_EQ(cost.global_spike_count(make_partition({0, 1}, 2)), 2u);
-  EXPECT_EQ(cost.move_delta(make_partition({0, 1}, 2), 0, 1), -2);
+  // Neuron 0 shares only the 0->1 spikes; its self-loop tallies nothing on
+  // its own crossbar.
+  std::vector<std::uint64_t> tally(2, 0);
+  cost.tally_incident_spikes({0, 1}, 0, tally);
+  EXPECT_EQ(tally, (std::vector<std::uint64_t>{0, 2}));
 }
 
 TEST(CostModel, TrafficMatrixMatchesSpikesBetween) {

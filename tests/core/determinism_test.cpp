@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/annealing.hpp"
 #include "core/genetic.hpp"
 #include "core/placement.hpp"
 #include "core/pso.hpp"
@@ -117,16 +116,6 @@ TEST(Determinism, PsoUnevenSwarmMatchesAtEveryThreadCount) {
   EXPECT_EQ(serial.fitness_evaluations, 7u * 9u);
 }
 
-TEST(Determinism, PsoPatienceStopMatchesAtEveryThreadCount) {
-  PsoConfig config;
-  config.swarm_size = 10;
-  config.iterations = 60;
-  config.patience = 3;
-  config.seed = 17;
-  const auto serial = expect_pso_thread_invariant(config);
-  EXPECT_LT(serial.iterations_run, config.iterations);  // stopped early
-}
-
 TEST(Determinism, PsoCutSpikesMatchesAtEveryThreadCount) {
   PsoConfig config;
   config.swarm_size = 9;
@@ -154,48 +143,6 @@ TEST(Determinism, GeneticSerialAndParallelMatchBitForBit) {
   EXPECT_EQ(serial.generations_run, parallel.generations_run);
   EXPECT_EQ(serial.fitness_evaluations, parallel.fitness_evaluations);
   EXPECT_EQ(serial.history, parallel.history);
-}
-
-TEST(Determinism, AnnealingRestartChainsMatchBitForBit) {
-  const auto graph = workload();
-  AnnealingConfig config;
-  config.moves = 4000;
-  config.seed = 13;
-  config.restarts = 3;
-
-  config.threads = 1;
-  const auto serial = annealing_partition(graph, arch_6x10(), config);
-  config.threads = 4;
-  const auto parallel = annealing_partition(graph, arch_6x10(), config);
-
-  EXPECT_EQ(serial.best, parallel.best);
-  EXPECT_EQ(serial.best_cost, parallel.best_cost);
-  EXPECT_EQ(serial.best_chain, parallel.best_chain);
-  EXPECT_EQ(serial.moves_proposed, parallel.moves_proposed);
-  EXPECT_EQ(serial.moves_accepted, parallel.moves_accepted);
-}
-
-TEST(Determinism, AnnealingSingleRestartReproducesLegacyChain) {
-  // restarts=1 must reuse the base seed verbatim: adding the restart layer
-  // cannot silently change existing single-chain results.
-  const auto graph = workload();
-  AnnealingConfig config;
-  config.moves = 4000;
-  config.seed = 13;
-
-  config.restarts = 1;
-  const auto single = annealing_partition(graph, arch_6x10(), config);
-  config.restarts = 3;
-  config.threads = 2;
-  const auto multi = annealing_partition(graph, arch_6x10(), config);
-
-  // Chain 0 of the multi-restart run is the legacy chain, so the winner can
-  // only be at least as good.
-  EXPECT_LE(multi.best_cost, single.best_cost);
-  if (multi.best_chain == 0) {
-    EXPECT_EQ(multi.best, single.best);
-    EXPECT_EQ(multi.best_cost, single.best_cost);
-  }
 }
 
 /// Deterministic little SNN used by the batch tests; `variant`

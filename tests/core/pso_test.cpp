@@ -165,18 +165,6 @@ TEST(Pso, LargerSwarmsDoNoWorse) {
   EXPECT_LE(large_cost, small_cost);
 }
 
-TEST(Pso, PatienceStopsEarly) {
-  const auto g = two_cliques();
-  PsoConfig config;
-  config.swarm_size = 30;
-  config.iterations = 200;
-  config.patience = 5;
-  PsoPartitioner pso(g, arch_2x6(), config);
-  const auto result = pso.optimize();
-  EXPECT_LT(result.iterations_run, 200u);
-  EXPECT_EQ(result.best_cost, 3u);  // still finds the optimum
-}
-
 TEST(Pso, RejectsOversizedNetworks) {
   const auto g = two_cliques();
   hw::Architecture arch;

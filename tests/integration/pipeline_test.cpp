@@ -96,27 +96,6 @@ TEST(Pipeline, TemporalWorkloadIsiDegradesWithCongestion) {
             relaxed_report.noc_stats.max_latency_cycles);
 }
 
-TEST(Pipeline, GraphSerializationPreservesMappingResults) {
-  apps::SyntheticConfig app;
-  app.layers = 1;
-  app.neurons_per_layer = 50;
-  app.duration_ms = 150.0;
-  const auto graph = apps::build_synthetic(app);
-
-  std::stringstream stream;
-  graph.save(stream);
-  const auto loaded = snn::SnnGraph::load(stream);
-
-  core::MappingFlowConfig config;
-  config.arch = hw::Architecture::sized_for(graph.neuron_count(), 20,
-                                            hw::InterconnectKind::kMesh);
-  config.partitioner = core::PartitionerKind::kPacman;
-  const auto a = core::run_mapping_flow(graph, config);
-  const auto b = core::run_mapping_flow(loaded, config);
-  EXPECT_EQ(a.global_spikes, b.global_spikes);
-  EXPECT_DOUBLE_EQ(a.global_energy_pj, b.global_energy_pj);
-}
-
 TEST(Pipeline, MeshAndTreeBothCarryTheSameWorkload) {
   apps::SyntheticConfig app;
   app.layers = 2;
