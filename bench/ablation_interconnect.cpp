@@ -1,8 +1,9 @@
 // Ablation: interconnect families.  Noxim++ "adds different interconnect
 // models for representative neuromorphic hardware" (Sec. IV) — NoC-tree
 // (CxQuad), NoC-mesh (TrueNorth, HiCANN) — plus a ring as a low-cost
-// straw man.  Same workload, same PSO partition budget, identical crossbar
-// resources; only the global-synapse network changes.
+// straw man and the scale-out dragonfly and fat-tree fabrics.  Same
+// workload, same PSO partition budget, identical crossbar resources; only
+// the global-synapse network changes.
 #include <iostream>
 
 #include "apps/registry.hpp"
@@ -26,7 +27,8 @@ int main() {
         bench::crossbar_size_for(graph.neuron_count(), 8);
     for (const auto kind :
          {hw::InterconnectKind::kTree, hw::InterconnectKind::kMesh,
-          hw::InterconnectKind::kRing}) {
+          hw::InterconnectKind::kRing, hw::InterconnectKind::kDragonfly,
+          hw::InterconnectKind::kFattree}) {
       core::MappingFlowConfig flow;
       flow.arch =
           hw::Architecture::sized_for(graph.neuron_count(), crossbar, kind);
@@ -53,6 +55,7 @@ int main() {
                "win on energy, but its max latency degrades first as load "
                "grows; the tree keeps ISI distortion lowest (every pair "
                "equidistant), matching CxQuad's design point; the mesh sits "
-               "between and scales best with crossbar count.\n";
+               "between and scales best with crossbar count; the fat tree "
+               "spends the most energy on its extra switch levels.\n";
   return 0;
 }

@@ -1,11 +1,12 @@
 // BM_CoSimulator: Google-benchmark suite for the closed-loop SNN x NoC
 // co-simulation hot path.
 //
-// Run via scripts/bench.sh, which writes BENCH_cosim.json so the co-sim
-// throughput trajectory is tracked PR over PR.  The headline number is
-// lockstep steps/sec (steps_per_sec counter); the single-run cases also
-// report per-run handoff work (packets_offered, copies_arrived,
-// deadline_misses) as non-rate counters.  The cases are:
+// Run it directly (`--benchmark_filter=<leg>`) for rates; the CTest case
+// bench.counters runs it once and holds its work counters to
+// BENCH_cosim.json.  The headline number is lockstep steps/sec
+// (steps_per_sec counter); the single-run cases also report per-run handoff
+// work (packets_offered, copies_arrived, deadline_misses) as non-rate
+// counters.  The cases are:
 //
 //  * an ideal-budget run (windows drain in-step: measures the lockstep
 //    plumbing — deferred stepping, packet encode, window pump, flush),

@@ -1,9 +1,9 @@
 // BM_NocSimulator: Google-benchmark suite for the NoC simulator hot path.
 //
-// Run via scripts/bench.sh, which writes BENCH_noc.json so the perf
-// trajectory of the cycle loop is tracked PR over PR.  The headline numbers
-// are simulated packets/sec (items/sec) and simulated cycles/sec
-// (cycles_per_sec counter) on:
+// Run it directly (`--benchmark_filter=<leg>`) for rates; the CTest case
+// bench.counters runs it once and holds its work counters to BENCH_noc.json.
+// The headline numbers are simulated packets/sec (items/sec) and simulated
+// cycles/sec (cycles_per_sec counter) on:
 //
 //  * the ablation_interconnect mesh workload (HW application mapped onto a
 //    mesh at equal crossbar resources, PACMAN partition so the traffic is
@@ -16,7 +16,7 @@
 //
 // Counters that are not rates (copies_delivered, router_traversals,
 // footprint_bytes, ...) are deterministic work counts per run, which
-// scripts/bench_gate.py holds exactly.
+// scripts/bench_gate.py holds exactly; the rates are printed, not recorded.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -77,8 +77,7 @@ NocWorkload hotspot_workload(noc::MeshRouting routing,
 /// Random multicast bursts on a CxQuad-style 16-leaf tree.  This generator
 /// predates traffic_patterns.hpp and draws a fixed 4 destination attempts
 /// per packet (vs the shared generator's random fan-out); it stays as-is so
-/// the BENCH_noc.json tree trajectory remains comparable to the recorded
-/// pre-refactor baseline.
+/// the tree leg's counters in BENCH_noc.json keep their recorded values.
 NocWorkload tree_multicast_workload() {
   util::Rng rng(11);
   std::vector<noc::SpikePacketEvent> traffic;

@@ -1,10 +1,10 @@
 // BM_SnnSimulator: Google-benchmark suite for the SNN simulator hot path.
 //
-// Run via scripts/bench.sh, which writes BENCH_snn.json so the perf
-// trajectory of the clock-driven step loop is tracked PR over PR.  The
-// headline numbers are simulated ms/sec (sim_ms_per_sec counter) and neuron
-// updates/sec (items/sec), next to the deterministic spike count per run
-// (spikes counter, which scripts/bench_gate.py holds exactly) on:
+// Run it directly (`--benchmark_filter=<leg>`) for rates; the CTest case
+// bench.counters runs it once and holds its work counters to BENCH_snn.json.
+// The headline numbers are simulated ms/sec (sim_ms_per_sec counter) and
+// neuron updates/sec (items/sec), next to the deterministic spike count per
+// run (spikes counter, which scripts/bench_gate.py holds exactly) on:
 //
 //  * the paper's synthetic stimulus shape — 10 Poisson sources with mean
 //    rates spread over 10..100 Hz — driving two fully connected Izhikevich
@@ -171,8 +171,8 @@ void BM_BatchSnnEvaluator_MultiSeed(benchmark::State& state) {
   // 8-seed sweep of the acceptance scenario fanned across the pool: the
   // cheap multi-run evaluation that replaces single-seed point estimates.
   // The argument is the pool's thread count (0 = hardware concurrency); the
-  // name predates util::ThreadPool::map and is kept so the tracked
-  // BENCH_snn.json trajectory continues.
+  // name predates util::ThreadPool::map and is kept so the leg keeps its
+  // BENCH_snn.json record.
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
   util::ThreadPool pool(static_cast<std::uint32_t>(state.range(0)));
   std::uint64_t spikes = 0;

@@ -284,15 +284,9 @@ int main(int argc, char** argv) {
     // auto-filled lockstep timeline; the open-loop mapping flow has no such
     // timeline, so such a config is lifted out of the flow (mapping runs on
     // the healthy fabric) and handed to the closed-loop run instead.
-    noc::FaultConfig file_faults = flow.noc.faults;
-    {
-      const bool rated = file_faults.link_fault_rate > 0.0 ||
-                         file_faults.router_fault_rate > 0.0 ||
-                         file_faults.tile_fault_rate > 0.0 ||
-                         file_faults.transient_link_rate > 0.0;
-      if (rated && file_faults.horizon_cycles == 0) {
-        flow.noc.faults = noc::FaultConfig{};
-      }
+    const noc::FaultConfig file_faults = flow.noc.faults;
+    if (file_faults.rate_sampled() && file_faults.horizon_cycles == 0) {
+      flow.noc.faults = noc::FaultConfig{};
     }
 
     // Progress goes to stderr so `--dump-config` (and `--csv -`-style uses)
@@ -305,13 +299,14 @@ int main(int argc, char** argv) {
           crossbar_size != 0
               ? crossbar_size
               : std::max<std::uint32_t>(16, (graph.neuron_count() + 3) / 4);
-      const auto kind = flow.arch.interconnect;
-      const auto cycles = flow.arch.cycles_per_ms;
-      const auto chip_count = flow.arch.chip_count;
+      // sized_for derives the crossbar count and the dragonfly and
+      // fat-tree dimensions; the other fields the file sets carry over.
+      const hw::Architecture file_arch = flow.arch;
       flow.arch = hw::Architecture::sized_for(graph.neuron_count(), size,
-                                              kind);
-      flow.arch.cycles_per_ms = cycles;
-      flow.arch.chip_count = chip_count;
+                                              file_arch.interconnect);
+      flow.arch.tree_arity = file_arch.tree_arity;
+      flow.arch.cycles_per_ms = file_arch.cycles_per_ms;
+      flow.arch.chip_count = file_arch.chip_count;
     }
     if (chips != 0) flow.arch.chip_count = chips;
 

@@ -4,8 +4,7 @@
 #                  (always), clang-tidy + clang-format when the toolchain
 #                  has them (each skipped with a notice otherwise).
 #   1. Debug     — assertions and debug-only checks live, warnings-as-errors.
-#   2. Release   — -O3 -DNDEBUG, the configuration the benchmarks and the
-#                  perf acceptance numbers (scripts/bench.sh) are measured in.
+#   2. Release   — -O3 -DNDEBUG, the configuration perfbench measures in.
 #   3. Sanitize  — Debug + AddressSanitizer + UndefinedBehaviorSanitizer
 #                  (-fno-sanitize-recover, so any finding fails the leg),
 #                  plus -D_GLIBCXX_ASSERTIONS so libstdc++ bounds-checks
@@ -18,13 +17,13 @@
 #                  each workload; fails on a nonzero harness exit.
 # Legs 1-3 run the full CTest suite, so optimization-dependent breakage
 # (UB, fragile float expectations) and memory errors surface here and not
-# in a profile run.  Leg 4 runs the filtered concurrency subset (TSan's
-# 5-15x slowdown makes the full suite impractical).  Skips:
+# in a profile run; their bench.counters case runs the Google Benchmark
+# suites once and holds every work counter to the committed BENCH_*.json.
+# Leg 4 runs the filtered concurrency subset (TSan's 5-15x slowdown makes
+# the full suite impractical).  Skips:
 #   SKIP_LINT=1      drop leg 0
 #   SKIP_SANITIZE=1  drop leg 3 (e.g. on toolchains without libasan)
 #   SKIP_TSAN=1      drop leg 4 (e.g. on toolchains without libtsan)
-# Perf is gated separately: scripts/bench.sh --check compares the Release
-# benchmarks against the committed BENCH_*.json trajectories.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,21 +39,6 @@ run_leg() {
     -DSNNMAP_WERROR=ON \
     "$@"
   cmake --build "$build_dir" -j "$JOBS"
-  # The benchmark suites (BENCH_*.json trajectories) are part of the `all`
-  # target, so the build above compiles them whenever Google Benchmark is
-  # available; assert every binary actually materialized so a silently
-  # skipped/ungenerated target cannot pass the leg.
-  if ! grep -q "benchmark_DIR:PATH=benchmark_DIR-NOTFOUND" \
-      "$build_dir/CMakeCache.txt"; then
-    for bench in noc_sim_benchmarks snn_sim_benchmarks cosim_benchmarks; do
-      if [[ ! -x "$build_dir/bench/$bench" ]]; then
-        echo "$bench did not build despite Google Benchmark" >&2
-        exit 1
-      fi
-    done
-  else
-    echo "note: benchmark targets absent (Google Benchmark missing)"
-  fi
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
 }
 
@@ -72,8 +56,7 @@ if [[ "${SKIP_SANITIZE:-0}" != "1" ]]; then
 fi
 
 # Dedicated block rather than run_leg: benches and examples are off here
-# (TSan rebuild cost buys no coverage there), which would trip run_leg's
-# bench-binary assertion.
+# (TSan rebuild cost buys no coverage there), and only a filtered subset runs.
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   tsan_dir="${TSAN_BUILD_DIR:-build-tsan}"
   echo "=== ci leg: Debug (${tsan_dir}) -DSNNMAP_SANITIZE=thread ==="

@@ -49,10 +49,7 @@ CoSimConfig with_lockstep_noc(CoSimConfig config) {
   // zero-rate config stays untouched).  NaN/negative rates compare false
   // here and reach FaultConfig::validate() unchanged.
   noc::FaultConfig& faults = config.noc.faults;
-  const bool rated =
-      faults.link_fault_rate > 0.0 || faults.router_fault_rate > 0.0 ||
-      faults.tile_fault_rate > 0.0 || faults.transient_link_rate > 0.0;
-  if (cpt != 0 && rated && faults.horizon_cycles == 0) {
+  if (cpt != 0 && faults.rate_sampled() && faults.horizon_cycles == 0) {
     const std::uint64_t span = snn::simulation_step_count(config.snn) + 2;
     if (span <= noc::kNoCycleLimit / cpt) {
       faults.horizon_cycles = span * cpt;

@@ -18,10 +18,13 @@ void check_rate(double value, const char* name) {
 
 }  // namespace
 
-bool FaultConfig::any() const noexcept {
+bool FaultConfig::rate_sampled() const noexcept {
   return link_fault_rate > 0.0 || router_fault_rate > 0.0 ||
-         tile_fault_rate > 0.0 || transient_link_rate > 0.0 ||
-         flit_drop_probability > 0.0 || !scheduled.empty();
+         tile_fault_rate > 0.0 || transient_link_rate > 0.0;
+}
+
+bool FaultConfig::any() const noexcept {
+  return rate_sampled() || flit_drop_probability > 0.0 || !scheduled.empty();
 }
 
 void FaultConfig::validate() const {
@@ -35,9 +38,7 @@ void FaultConfig::validate() const {
         "FaultConfig: flit_drop_probability must be a finite probability in "
         "[0, 1) (a fabric dropping every flit can never deliver anything)");
   }
-  const bool rated = link_fault_rate > 0.0 || router_fault_rate > 0.0 ||
-                     tile_fault_rate > 0.0 || transient_link_rate > 0.0;
-  if (rated && horizon_cycles == 0) {
+  if (rate_sampled() && horizon_cycles == 0) {
     throw std::invalid_argument(
         "FaultConfig: horizon_cycles must be > 0 when any fault rate is > 0 "
         "(random faults need a span of virtual time to be scheduled over; "

@@ -71,6 +71,11 @@ struct FaultConfig {
   /// Explicit faults, applied in addition to the seeded random ones.
   std::vector<ScheduledFault> scheduled;
 
+  /// True when the link, router, tile or transient-link rate is > 0 (NaN
+  /// compares false).  Those faults are sampled over [0, horizon_cycles),
+  /// so they need a horizon; validate() rejects them without one.
+  bool rate_sampled() const noexcept;
+
   /// True when any fault source is configured (rates, drops, or scheduled
   /// entries) — the simulator's gate for every fault branch.
   bool any() const noexcept;

@@ -85,7 +85,7 @@ enum class NocEngine : std::uint8_t {
   /// emission, next fault transition) — O(1) per skipped span.  Bursty
   /// low-activity traffic (dense emission windows, near-silent gaps,
   /// off-chip SerDes parking) runs order-of-magnitude faster
-  /// (BM_NocIdleSkip in BENCH_noc.json).
+  /// (BM_NocIdleSkip in bench/noc_sim_benchmarks).
   kEvent,
 };
 

@@ -2,10 +2,11 @@
 // harnesses (bench/ablation_routing, bench/noc_sim_benchmarks) and the
 // golden determinism tests (tests/noc/golden_scenarios.hpp).
 //
-// The golden fixtures and the recorded BENCH_noc.json numbers both pin the
+// The golden fixtures and the work counters in BENCH_noc.json both pin the
 // exact spike streams these produce — any change to a generator invalidates
-// golden fixtures (regenerate with snnmap_noc_golden_capture) and resets
-// the benchmark trajectory, so change them deliberately.
+// golden fixtures (regenerate with snnmap_noc_golden_capture) and the
+// counter record (re-record with scripts/bench_gate.py --record), so change
+// them deliberately.
 #pragma once
 
 #include <algorithm>

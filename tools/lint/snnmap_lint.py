@@ -18,10 +18,6 @@ rules reject the *source patterns* that produce such bugs, at lint time:
                        must sit under a hoisted `*_active_` (or local
                        `trace_on`) gate, so the default config pays no cost
                        and golden digests cannot shift.
-  ci-bench-sync        The bench-binary list scripts/ci.sh asserts must
-                       equal the Google-Benchmark targets declared in
-                       bench/CMakeLists.txt (a silently-unbuilt suite would
-                       pass CI while its BENCH_*.json trajectory rots).
   config-key-coverage  Every "section.key" literal read by *_from_config
                        must be written by *_to_config (the save->load->save
                        byte-stability precondition) and must appear in
@@ -32,13 +28,12 @@ line or the line directly above it:
 
     // snnmap-lint: allow(<rule>) -- <why this cannot break determinism>
 
-(`#` comments in shell/CMake files).  The justification text is mandatory;
-a bare allow() does not waive.  For hoisted-gate, a waiver on an enclosing
-block's header line (e.g. a function whose every call site is gated)
-covers the whole block.
+The justification text is mandatory; a bare allow() does not waive.  For
+hoisted-gate, a waiver on an enclosing block's header line (e.g. a function
+whose every call site is gated) covers the whole block.
 
 Exit status: 0 clean, 1 findings, 2 usage/configuration error (including a
-tree without src/ when a rule that scans src/ is selected).
+tree without src/).
 """
 
 from __future__ import annotations
@@ -52,18 +47,13 @@ ALL_RULES = (
     "nondeterminism",
     "unordered-iteration",
     "hoisted-gate",
-    "ci-bench-sync",
     "config-key-coverage",
 )
 
-# Rules that read only repo-level files (scripts/, bench/) and never scan
-# src/; a tree without src/ is simply empty for them.
-REPO_LEVEL_RULES = frozenset({"ci-bench-sync"})
-
 WAIVER_RE = re.compile(
-    r"(?://|#)\s*snnmap-lint:\s*allow\(([a-z-]+)\)\s*(?:--|—)\s*(\S.*)"
+    r"//\s*snnmap-lint:\s*allow\(([a-z-]+)\)\s*(?:--|—)\s*(\S.*)"
 )
-BARE_WAIVER_RE = re.compile(r"(?://|#)\s*snnmap-lint:\s*allow\(([a-z-]+)\)")
+BARE_WAIVER_RE = re.compile(r"//\s*snnmap-lint:\s*allow\(([a-z-]+)\)")
 
 
 class Finding:
@@ -393,55 +383,6 @@ def rule_hoisted_gate(repo):
 
 
 # --------------------------------------------------------------------------
-# Rule: ci-bench-sync
-# --------------------------------------------------------------------------
-
-
-def rule_ci_bench_sync(repo):
-    findings = []
-    ci = repo / "scripts" / "ci.sh"
-    cmake = repo / "bench" / "CMakeLists.txt"
-    if not ci.exists() or not cmake.exists():
-        return [Finding(repo, 1, "ci-bench-sync",
-                        "scripts/ci.sh or bench/CMakeLists.txt missing")]
-
-    ci_text = ci.read_text().replace("\\\n", " ")
-    m = re.search(r"for\s+bench\s+in\s+([^;]*);", ci_text)
-    ci_list = set(m.group(1).split()) if m else set()
-    if not ci_list:
-        findings.append(Finding("scripts/ci.sh", 1, "ci-bench-sync",
-                                "no `for bench in ...` assertion list found"))
-
-    cmake_lines = cmake.read_text().splitlines()
-    waivers, _ = scan_waivers(cmake_lines)
-    cmake_targets = {}
-    in_benchmark_block = False
-    for lineno, line in enumerate(cmake_lines, start=1):
-        if re.search(r"if\s*\(\s*benchmark_FOUND\s*\)", line):
-            in_benchmark_block = True
-        elif re.match(r"\s*(else|endif)\s*\(", line):
-            in_benchmark_block = False
-        am = re.search(r"add_executable\s*\(\s*([\w-]+)", line)
-        if am and in_benchmark_block:
-            if is_waived(waivers, lineno, "ci-bench-sync"):
-                continue
-            cmake_targets[am.group(1)] = lineno
-
-    for target, lineno in sorted(cmake_targets.items()):
-        if target not in ci_list:
-            findings.append(Finding(
-                "bench/CMakeLists.txt", lineno, "ci-bench-sync",
-                f"benchmark target '{target}' is not asserted buildable by "
-                "scripts/ci.sh (add it to the `for bench in` list or waive)"))
-    for target in sorted(ci_list - set(cmake_targets)):
-        findings.append(Finding(
-            "scripts/ci.sh", 1, "ci-bench-sync",
-            f"ci.sh asserts bench binary '{target}' but bench/CMakeLists.txt "
-            "declares no such Google-Benchmark target"))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # Rule: config-key-coverage
 # --------------------------------------------------------------------------
 
@@ -516,7 +457,6 @@ RULE_FNS = {
     "nondeterminism": rule_nondeterminism,
     "unordered-iteration": rule_unordered_iteration,
     "hoisted-gate": rule_hoisted_gate,
-    "ci-bench-sync": rule_ci_bench_sync,
     "config-key-coverage": rule_config_key_coverage,
 }
 
@@ -538,7 +478,7 @@ def main(argv=None):
     repo = pathlib.Path(args.repo) if args.repo else \
         pathlib.Path(__file__).resolve().parents[2]
     rules = args.rule or ALL_RULES
-    if not (repo / "src").is_dir() and not REPO_LEVEL_RULES.issuperset(rules):
+    if not (repo / "src").is_dir():
         print(f"snnmap-lint: no src/ under {repo}", file=sys.stderr)
         return 2
 

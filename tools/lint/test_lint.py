@@ -44,10 +44,6 @@ EXPECTATIONS = {
         "src/bad.cpp:9",    # ungated fault-mask consult
     ]),
     "hoisted_good": (["hoisted-gate"], 0, []),
-    "ci_sync_bad": (["ci-bench-sync"], 1, [
-        "bench/CMakeLists.txt:4",  # beta_benchmarks never asserted
-        "scripts/ci.sh:1",         # phantom_benchmarks has no target
-    ]),
     "config_bad": (["config-key-coverage"], 1, [
         "src/core/config_io.cpp:8",   # noc.read_only never written back
         "src/core/config_io.cpp:13",  # noc.write_only never read back
