@@ -11,7 +11,7 @@
 //  * an ideal-budget run (windows drain in-step: measures the lockstep
 //    plumbing — deferred stepping, packet encode, window pump, flush),
 //  * a congested run (small cycle budget: measures carried backlog, late
-//    arrivals and verdict withholding),
+//    arrivals and withheld cut deliveries),
 //  * a bounded-receive-queue run (drop accounting on top of congestion),
 //  * the ideal-budget run under each scaling DVFS policy (the per-window
 //    policy step on top of the energy-window close every step pays),

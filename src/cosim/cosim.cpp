@@ -179,42 +179,42 @@ CoSimulator::CoSimulator(snn::Network& network,
 }
 
 void CoSimulator::rebuild_mapping() {
-  // Cut mask + per-neuron transport tables.  Each neuron's cut records are
-  // walked once to collect its distinct destination tiles; the sorted tiles
-  // number its pairs, and a counting pass by pair scatters the records into
-  // pair-grouped order (stable, so CSR order holds within a pair).  Linear
-  // in the records plus a sort of each neuron's distinct tiles.
+  // Pair assignment + per-neuron transport tables.  Each neuron's cut
+  // records are walked once to collect its distinct destination tiles; the
+  // sorted tiles number its pairs, and a counting pass by pair scatters the
+  // records into pair-grouped order (stable, so CSR order holds within a
+  // pair).  Linear in the records plus a sort of each neuron's distinct
+  // tiles.
   const std::uint32_t n = network_->neuron_count();
   const auto& part = partition_.assignment();
   const auto& synapses = network_->synapses();
   const auto& offsets = network_->fanout_offsets();
   const auto& order = network_->fanout_synapses();
-  std::vector<std::uint8_t> cut(synapses.size(), 0);
-  std::uint32_t cut_total = 0;
-  for (std::size_t s = 0; s < synapses.size(); ++s) {
-    cut[s] = part[synapses[s].pre] != part[synapses[s].post] ? 1 : 0;
-    cut_total += cut[s];
-  }
+  const auto is_cut = [&](std::uint32_t s) {
+    return part[synapses[s].pre] != part[synapses[s].post];
+  };
+  const auto cut_total = static_cast<std::uint32_t>(std::count_if(
+      order.begin(), order.end(), is_cut));
 
   source_tile_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     source_tile_[i] = placement_[part[i]];
   }
   dest_tiles_.clear();
-  remote_pair_.resize(cut_total);
   pair_records_.resize(cut_total);
   dest_offsets_.assign(n + 1, 0);
   pair_offsets_.assign(1, 0);
+  std::vector<std::uint32_t> pair_of_synapse(synapses.size(),
+                                             snn::Simulator::kLocal);
   std::vector<std::uint32_t> tile_pair(noc_.topology().tile_count(),
                                        kNoPair);
   std::vector<std::uint32_t> cut_scratch;  // this neuron's cut synapses
   std::vector<std::uint32_t> cursor;       // per-pair scatter position
-  std::uint32_t rb = 0;                    // this neuron's first record
   for (std::uint32_t i = 0; i < n; ++i) {
     const auto pb = static_cast<std::uint32_t>(dest_tiles_.size());
     cut_scratch.clear();
     for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-      if (!cut[order[k]]) continue;
+      if (!is_cut(order[k])) continue;
       const noc::TileId tile = placement_[part[synapses[order[k]].post]];
       if (tile_pair[tile] == kNoPair) {
         tile_pair[tile] = 0;  // seen; numbered once the tiles are sorted
@@ -226,30 +226,28 @@ void CoSimulator::rebuild_mapping() {
     const auto pe = static_cast<std::uint32_t>(dest_tiles_.size());
     for (std::uint32_t p = pb; p < pe; ++p) tile_pair[dest_tiles_[p]] = p;
 
-    const auto re = rb + static_cast<std::uint32_t>(cut_scratch.size());
     cursor.assign(pe - pb, 0);
-    for (std::uint32_t r = rb; r < re; ++r) {
-      const snn::NeuronId post = synapses[cut_scratch[r - rb]].post;
-      remote_pair_[r] = tile_pair[placement_[part[post]]];
-      ++cursor[remote_pair_[r] - pb];
+    for (const std::uint32_t s : cut_scratch) {
+      pair_of_synapse[s] = tile_pair[placement_[part[synapses[s].post]]];
+      ++cursor[pair_of_synapse[s] - pb];
     }
     for (std::uint32_t p = pb; p < pe; ++p) {
       const std::uint32_t begin = pair_offsets_.back();
       pair_offsets_.push_back(begin + cursor[p - pb]);
       cursor[p - pb] = begin;
     }
-    for (std::uint32_t r = rb; r < re; ++r) {
-      const snn::Synapse& syn = synapses[cut_scratch[r - rb]];
-      pair_records_[cursor[remote_pair_[r] - pb]++] = {syn.post, syn.weight,
-                                                       syn.delay_steps};
+    for (const std::uint32_t s : cut_scratch) {
+      const snn::Synapse& syn = synapses[s];
+      pair_records_[cursor[pair_of_synapse[s] - pb]++] = {
+          syn.post, syn.weight, syn.delay_steps};
     }
     for (std::uint32_t p = pb; p < pe; ++p) tile_pair[dest_tiles_[p]] = kNoPair;
     dest_offsets_[i + 1] = pe;
-    rb = re;
   }
   landed_.assign(dest_tiles_.size(), 0);
 
-  sim_.cut_remote_synapses(cut);
+  sim_.cut_remote_synapses(pair_of_synapse,
+                           static_cast<std::uint32_t>(dest_tiles_.size()));
 }
 
 std::uint32_t CoSimulator::pair_of(snn::NeuronId source,
@@ -292,7 +290,6 @@ CoSimResult CoSimulator::run() {
   std::vector<std::uint64_t> emit_counter(source_tile_.size(), 0);
   std::vector<std::uint32_t> window_accepts(noc_.topology().tile_count(), 0);
   std::vector<noc::TileId> touched_tiles;
-  std::vector<snn::Simulator::RemoteVerdict> verdicts;
   std::vector<noc::SpikePacketEvent> window_traffic;
   bool warned_halt = false;
 
@@ -496,18 +493,7 @@ CoSimResult CoSimulator::run() {
 
     // 5. Flush step t: local records deliver unconditionally; cut records
     //    deliver exactly when their packet copy landed in-window.
-    verdicts.clear();
-    verdicts.reserve(sim_.deferred_remote_records());
-    for (const snn::NeuronId i : spikes) {
-      const std::uint32_t rb = pair_offsets_[dest_offsets_[i]];
-      const std::uint32_t re = pair_offsets_[dest_offsets_[i + 1]];
-      for (std::uint32_t r = rb; r < re; ++r) {
-        verdicts.push_back(landed_[remote_pair_[r]] != 0
-                               ? snn::Simulator::RemoteVerdict::kDeliver
-                               : snn::Simulator::RemoteVerdict::kWithhold);
-      }
-    }
-    sim_.flush_deferred(verdicts);
+    sim_.flush_deferred(landed_);
 
     // 6. Feed the DVFS policy: how busy was the window, and did anything
     //    miss its deadline (late accept, drop, or carried backlog)?

@@ -241,22 +241,20 @@ class CoSimulator {
 
   // Transport tables.  A "pair" is one (source neuron, destination tile)
   // that the neuron's cut records reach — exactly one packet copy per
-  // spike.  Pairs are numbered neuron by neuron, tiles ascending.  A
-  // neuron's cut records occupy one global range in both record orders:
-  // [pair_offsets_[dest_offsets_[i]], pair_offsets_[dest_offsets_[i + 1]]).
+  // spike.  Pairs are numbered neuron by neuron, tiles ascending, and the
+  // engine gets the same numbering (Simulator::cut_remote_synapses), so
+  // `landed_` is exactly the flag vector its flush reads.
   std::vector<noc::TileId> source_tile_;      // neuron -> home tile
   std::vector<std::uint32_t> dest_offsets_;   // neuron -> pair range
   std::vector<noc::TileId> dest_tiles_;       // pair -> destination tile
-  /// Cut record in the Network's fan-out (CSR) order -> its pair, so the
-  /// verdict stream aligns with the engine's cut-record enumeration.
-  std::vector<std::uint32_t> remote_pair_;
   /// Pair -> range of `pair_records_`, which holds each pair's records in
   /// CSR order: a late copy injects its own pair's records in the order
   /// (and FP addition order) the engine would.
   std::vector<std::uint32_t> pair_offsets_;
   std::vector<Record> pair_records_;
   /// Pair -> 1 when its copy of this step's spike landed in-window; set
-  /// while draining deliveries, cleared over the step's spikes' pairs.
+  /// while draining deliveries, handed to Simulator::flush_deferred, and
+  /// cleared over the step's spikes' pairs.
   std::vector<std::uint8_t> landed_;
 };
 

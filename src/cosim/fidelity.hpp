@@ -6,11 +6,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/partition.hpp"
-#include "core/placement.hpp"
 #include "noc/metrics.hpp"
 #include "obs/congestion.hpp"
-#include "snn/graph.hpp"
 #include "snn/spike_train.hpp"
 #include "util/stats.hpp"
 
@@ -145,18 +142,5 @@ struct SpikeDivergence {
 SpikeDivergence spike_divergence(
     const std::vector<snn::SpikeTrain>& ideal,
     const std::vector<snn::SpikeTrain>& cosim);
-
-/// Re-annotates a spike graph with *observed* traffic from a live NoC
-/// delivery log: every source neuron that shipped packets gets its train
-/// rebuilt from the packets' first-copy arrival times (recv_cycle /
-/// cycles_per_ms, clamped to the graph duration), while purely-local
-/// sources keep their analytic trains.  This is the feedback signal the
-/// run-time remapper consumes in co-sim mode: it optimizes against what
-/// the fabric actually delivered, congestion smear included.
-snn::SnnGraph observed_graph_from_noc(
-    const snn::SnnGraph& analytic, const core::Partition& partition,
-    const core::Placement& placement,
-    const std::vector<noc::DeliveredSpike>& delivered,
-    std::uint32_t cycles_per_ms);
 
 }  // namespace snnmap::cosim

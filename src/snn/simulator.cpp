@@ -92,7 +92,7 @@ Simulator::Simulator(Network& network, SimulationConfig config)
   // Ring size from the delays actually present in the CSR, not the
   // Network's incrementally-maintained max: a caller can legally raise a
   // delay through mutable_synapses(), and an undersized ring would send the
-  // wrap arithmetic in deliver_spike out of bounds.  Delays lowered to 0
+  // wrap arithmetic in deliver_slots out of bounds.  Delays lowered to 0
   // the same way are rejected — a same-slot arrival would reach only the
   // neurons not yet stepped this dt, an order-dependent half-delivery.
   std::uint16_t max_delay = network_.max_delay_steps();
@@ -103,9 +103,7 @@ Simulator::Simulator(Network& network, SimulationConfig config)
     if (d > max_delay) max_delay = d;
   }
   ring_ = static_cast<std::size_t>(max_delay) + 1;
-  csr_cut_.assign(csr_delay_.size(), 0);
-  cut_count_.assign(n, 0);
-  fan_has_cut_.assign(n, 0);
+  cut_run_offsets_.assign(n + 1, 0);
   pending_.assign(ring_ * n, 0.0);
   if (config_.syn_tau_ms > 0.0) {
     syn_current_.assign(n, 0.0);
@@ -139,11 +137,10 @@ Simulator::Simulator(Network& network, SimulationConfig config)
   }
 }
 
-void Simulator::deliver_spike(NeuronId neuron) {
+void Simulator::deliver_slots(NeuronId neuron, std::uint32_t begin,
+                              std::uint32_t end) {
   // Non-plastic fast path: no STDP checks inside the loop.  Addition order
   // over k is identical in every branch, so all three are bit-identical.
-  const std::uint32_t begin = csr_offsets_[neuron];
-  const std::uint32_t end = csr_offsets_[neuron + 1];
   if (begin == end) return;
   double* pending = pending_.data();
   const std::size_t n = neuron_count_;
@@ -173,12 +170,11 @@ void Simulator::deliver_spike(NeuronId neuron) {
   }
 }
 
-void Simulator::deliver_spike_plastic(NeuronId neuron) {
+void Simulator::deliver_slots_plastic(std::uint32_t begin, std::uint32_t end) {
   double* pending = pending_.data();
   const std::size_t n = neuron_count_;
   const std::size_t ring = ring_;
-  const std::uint32_t end = csr_offsets_[neuron + 1];
-  for (std::uint32_t k = csr_offsets_[neuron]; k < end; ++k) {
+  for (std::uint32_t k = begin; k < end; ++k) {
     std::size_t arrive = slot_ + csr_delay_[k];
     if (arrive >= ring) arrive -= ring;
     pending[arrive * n + csr_post_[k]] += static_cast<double>(csr_weight_[k]);
@@ -220,13 +216,13 @@ void Simulator::on_spike(NeuronId neuron) {
     // per-record plastic checks; the rest keep the fast fan-out paths
     // (identical addition order, so still bit-identical).
     if (fan_has_plastic_[neuron]) {
-      deliver_spike_plastic(neuron);
+      deliver_slots_plastic(csr_offsets_[neuron], csr_offsets_[neuron + 1]);
     } else {
-      deliver_spike(neuron);
+      deliver_slots(neuron, csr_offsets_[neuron], csr_offsets_[neuron + 1]);
     }
     apply_stdp_on_post(neuron);
   } else {
-    deliver_spike(neuron);
+    deliver_slots(neuron, csr_offsets_[neuron], csr_offsets_[neuron + 1]);
   }
 }
 
@@ -242,7 +238,6 @@ void Simulator::step_impl() {
   const auto fire = [&](NeuronId i) {
     if constexpr (kDeferred) {
       deferred_spikes_.push_back(i);
-      pending_remote_records_ += cut_count_[i];
     } else {
       on_spike(i);
     }
@@ -325,55 +320,74 @@ void Simulator::step_deferred() {
         "Simulator: step_deferred() with a deferred step already open");
   }
   deferred_spikes_.clear();
-  pending_remote_records_ = 0;
   in_deferred_step_ = true;
   step_impl<true>();
 }
 
-void Simulator::cut_remote_synapses(const std::vector<std::uint8_t>& cut) {
+void Simulator::cut_remote_synapses(
+    const std::vector<std::uint32_t>& pair_of_synapse,
+    std::uint32_t pair_count) {
   // Legal before the first step *and* between closed steps (the fault path
-  // re-cuts after a mid-run remap); only an open deferred step — whose
-  // verdict stream was sized by the old mask — forbids it.
+  // re-cuts after a mid-run remap); only an open deferred step, whose
+  // spikes were recorded under the old pairs, forbids it.
   if (in_deferred_step_) {
     throw std::logic_error(
-        "Simulator: cut_remote_synapses with a deferred step open (the "
-        "pending verdict stream was enumerated under the old cut mask; "
-        "flush_deferred first)");
+        "Simulator: cut_remote_synapses with a deferred step open (its "
+        "spikes were recorded under the old pairs; flush_deferred first)");
   }
-  if (cut.size() != network_.synapses().size()) {
+  if (pair_of_synapse.size() != network_.synapses().size()) {
     throw std::invalid_argument(
-        "Simulator: cut mask size must match the synapse count");
+        "Simulator: pair_of_synapse size must match the synapse count");
   }
-  // Validate the whole mask before mutating anything, so a rejected re-cut
-  // leaves the previous mask fully intact.
-  for (std::size_t k = 0; k < csr_cut_.size(); ++k) {
+  // Validate everything before mutating anything, so a rejected re-cut
+  // leaves the previous assignment fully intact.
+  for (std::size_t k = 0; k < csr_synapse_.size(); ++k) {
+    const std::uint32_t pair = pair_of_synapse[csr_synapse_[k]];
+    if (pair == kLocal) continue;
+    if (pair >= pair_count) {
+      throw std::invalid_argument(
+          "Simulator: pair id " + std::to_string(pair) +
+          " is not below pair_count " + std::to_string(pair_count));
+    }
     // The plastic flag is inert while STDP is off (delivery takes the
     // non-plastic paths and weights never change), so cutting such a
     // synapse is safe; only live STDP bookkeeping forbids it.
-    if (cut[csr_synapse_[k]] != 0 && csr_plastic_[k] && config_.enable_stdp) {
+    if (csr_plastic_[k] && config_.enable_stdp) {
       throw std::invalid_argument(
           "Simulator: a plastic synapse cannot be remote-cut while STDP is "
           "enabled (its weight would live on the remote crossbar, outside "
           "the local STDP bookkeeping)");
     }
   }
-  cut_count_.assign(neuron_count_, 0);
-  fan_has_cut_.assign(neuron_count_, 0);
-  for (std::size_t k = 0; k < csr_cut_.size(); ++k) {
-    csr_cut_[k] = cut[csr_synapse_[k]] != 0 ? 1 : 0;
-  }
+  // Run-length encode each neuron's fan-out by pair, kept only for neurons
+  // with at least one cut slot (the rest flush through on_spike).
+  cut_run_end_.clear();
+  cut_run_pair_.clear();
   for (NeuronId pre = 0; pre < neuron_count_; ++pre) {
-    std::uint32_t count = 0;
-    for (std::uint32_t k = csr_offsets_[pre]; k < csr_offsets_[pre + 1]; ++k) {
-      count += csr_cut_[k];
+    const std::uint32_t begin = csr_offsets_[pre];
+    const std::uint32_t end = csr_offsets_[pre + 1];
+    const auto first_run = cut_run_end_.size();
+    bool any_cut = false;
+    for (std::uint32_t k = begin; k < end; ++k) {
+      const std::uint32_t pair = pair_of_synapse[csr_synapse_[k]];
+      any_cut = any_cut || pair != kLocal;
+      if (cut_run_end_.size() > first_run && cut_run_pair_.back() == pair) {
+        cut_run_end_.back() = k + 1;
+      } else {
+        cut_run_end_.push_back(k + 1);
+        cut_run_pair_.push_back(pair);
+      }
     }
-    cut_count_[pre] = count;
-    fan_has_cut_[pre] = count != 0 ? 1 : 0;
+    if (!any_cut) {
+      cut_run_end_.resize(first_run);
+      cut_run_pair_.resize(first_run);
+    }
+    cut_run_offsets_[pre + 1] = static_cast<std::uint32_t>(cut_run_end_.size());
   }
+  pair_count_ = pair_count;
 }
 
-void Simulator::inject_remote(NeuronId post, double weight,
-                              std::uint16_t delay_steps) {
+void Simulator::reject_inject(NeuronId post, std::uint16_t delay_steps) const {
   if (!in_deferred_step_) {
     throw std::logic_error(
         "Simulator: inject_remote is only legal inside an open deferred "
@@ -382,73 +396,56 @@ void Simulator::inject_remote(NeuronId post, double weight,
   if (post >= neuron_count_) {
     throw std::out_of_range("Simulator: inject_remote neuron out of range");
   }
-  if (delay_steps == 0 || delay_steps >= ring_) {
-    throw std::invalid_argument(
-        "Simulator: inject_remote delay must be >= 1 and within the delay "
-        "ring");
-  }
-  std::size_t arrive = slot_ + delay_steps;
-  if (arrive >= ring_) arrive -= ring_;
-  pending_[arrive * neuron_count_ + post] += weight;
+  throw std::invalid_argument(
+      "Simulator: inject_remote delay must be >= 1 and within the delay "
+      "ring (got " + std::to_string(delay_steps) + ")");
 }
 
-void Simulator::deliver_spike_filtered(NeuronId neuron,
-                                       const RemoteVerdict* verdicts,
-                                       std::size_t& cursor) {
-  double* pending = pending_.data();
-  const std::size_t n = neuron_count_;
-  const std::size_t ring = ring_;
-  const bool stdp = config_.enable_stdp;
-  const std::uint32_t end = csr_offsets_[neuron + 1];
-  for (std::uint32_t k = csr_offsets_[neuron]; k < end; ++k) {
-    if (csr_cut_[k] &&
-        verdicts[cursor++] == RemoteVerdict::kWithhold) {
-      continue;
+void Simulator::deliver_spike_landed(NeuronId neuron,
+                                     const std::uint8_t* landed) {
+  // Run by run in slot order: a run's slots share one pair, so they
+  // deliver or stay withheld together, through the same fast paths (and
+  // FP addition order) as on_spike.
+  const bool plastic = config_.enable_stdp && fan_has_plastic_[neuron];
+  std::uint32_t begin = csr_offsets_[neuron];
+  const std::uint32_t last = cut_run_offsets_[neuron + 1];
+  for (std::uint32_t r = cut_run_offsets_[neuron]; r < last; ++r) {
+    const std::uint32_t end = cut_run_end_[r];
+    const std::uint32_t pair = cut_run_pair_[r];
+    if (pair == kLocal || landed[pair] != 0) {
+      if (plastic) {
+        deliver_slots_plastic(begin, end);
+      } else {
+        deliver_slots(neuron, begin, end);
+      }
     }
-    std::size_t arrive = slot_ + csr_delay_[k];
-    if (arrive >= ring) arrive -= ring;
-    pending[arrive * n + csr_post_[k]] += static_cast<double>(csr_weight_[k]);
-    if (stdp && csr_plastic_[k]) apply_stdp_on_pre(k);
+    begin = end;
   }
 }
 
-void Simulator::replay_spike(NeuronId neuron, const RemoteVerdict* verdicts,
-                             std::size_t& cursor) {
-  // Mirrors on_spike exactly, substituting the verdict-aware delivery for
-  // neurons with cut records (the per-record loop adds in the same slot
-  // order as every fast path, so the replay stays bit-identical).
-  events_.push_back({neuron, now_ms_});
-  ++total_spikes_;
-  last_spike_ms_[neuron] = now_ms_;
-  if (fan_has_cut_[neuron]) {
-    deliver_spike_filtered(neuron, verdicts, cursor);
-    if (config_.enable_stdp) apply_stdp_on_post(neuron);
-  } else if (config_.enable_stdp) {
-    if (fan_has_plastic_[neuron]) {
-      deliver_spike_plastic(neuron);
-    } else {
-      deliver_spike(neuron);
-    }
-    apply_stdp_on_post(neuron);
-  } else {
-    deliver_spike(neuron);
-  }
-}
-
-void Simulator::flush_deferred(const std::vector<RemoteVerdict>& verdicts) {
+void Simulator::flush_deferred(const std::vector<std::uint8_t>& landed) {
   if (!in_deferred_step_) {
     throw std::logic_error(
         "Simulator: flush_deferred without an open deferred step");
   }
-  if (verdicts.size() != pending_remote_records_) {
+  if (landed.size() != pair_count_) {
     throw std::invalid_argument(
-        "Simulator: flush_deferred verdict count mismatch (expected " +
-        std::to_string(pending_remote_records_) + ", got " +
-        std::to_string(verdicts.size()) + ")");
+        "Simulator: flush_deferred needs one landed flag per pair (expected " +
+        std::to_string(pair_count_) + ", got " +
+        std::to_string(landed.size()) + ")");
   }
-  std::size_t cursor = 0;
+  // Mirrors on_spike for every recorded spike, substituting the
+  // landed-aware delivery for neurons with cut records.
   for (const NeuronId s : deferred_spikes_) {
-    replay_spike(s, verdicts.data(), cursor);
+    if (cut_run_offsets_[s] == cut_run_offsets_[s + 1]) {
+      on_spike(s);
+      continue;
+    }
+    events_.push_back({s, now_ms_});
+    ++total_spikes_;
+    last_spike_ms_[s] = now_ms_;
+    deliver_spike_landed(s, landed.data());
+    if (config_.enable_stdp) apply_stdp_on_post(s);
   }
   in_deferred_step_ = false;
   finish_step();

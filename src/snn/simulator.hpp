@@ -100,42 +100,48 @@ class Simulator {
 
   // --- co-simulation seam (src/cosim/) -----------------------------------
   //
-  // The closed-loop co-simulator owns spike *transport*: it marks the
-  // cross-crossbar ("cut") synapses, steps the engine with deliveries
-  // deferred, ships the step's spikes over the NoC, and then flushes the
-  // step with a per-cut-record verdict:
+  // The closed-loop co-simulator owns spike *transport*.  It tells the
+  // engine which packet copy carries each cross-crossbar ("cut") synapse,
+  // steps the engine with deliveries deferred, ships the step's spikes over
+  // the NoC, and then flushes the step with one landed flag per copy:
   //
-  //   sim.cut_remote_synapses(mask);            // before any step (and
-  //                                             // again after a mid-run
-  //                                             // remap, between steps)
+  //   sim.cut_remote_synapses(pair_of_synapse, pair_count);
+  //                                         // before any step (and again
+  //                                         // after a mid-run remap,
+  //                                         // between steps)
   //   loop: sim.step_deferred();
   //         ... advance the NoC one window; apply late arrivals through
   //             sim.inject_remote(...) ...
-  //         sim.flush_deferred(verdicts);       // finishes the step
+  //         sim.flush_deferred(landed);     // finishes the step
   //
-  // Deferral is exact: deliveries only touch future ring slots (delay >= 1)
-  // and never feed back into the current step's integration, so replaying
-  // every spike's delivery/STDP sequence at flush time — in the same
-  // (neuron, fan-out slot) order the inline path uses — produces the same
-  // bits.  With every verdict kDeliver, step_deferred() + flush_deferred()
-  // is therefore bit-identical to step() (pinned by the cosim test suite).
+  // A "pair" is one (source neuron, destination crossbar) packet copy, so
+  // every cut synapse of a pair shares its fate: a slot delivers at flush
+  // time iff it is local or its pair's landed flag is set.  The engine
+  // keeps each cut neuron's fan-out as runs of consecutive slots that share
+  // a pair, so the flush reads one flag per run and a landed run takes the
+  // same fast path as a local spike.  Deferral is
+  // exact: deliveries only touch future ring slots (delay >= 1) and never
+  // feed back into the current step's integration, so replaying every
+  // spike's delivery/STDP sequence at flush time, in the same (neuron,
+  // fan-out slot) order the inline path uses, produces the same bits.
+  // With every pair landed, step_deferred() + flush_deferred() is
+  // therefore bit-identical to step() (pinned by the cosim test suite).
 
-  /// Per-cut-record transport verdict consumed by flush_deferred().
-  enum class RemoteVerdict : std::uint8_t {
-    kDeliver,   ///< packet arrived within its emission window: local timing
-    kWithhold,  ///< in flight or dropped: the co-simulator handles it later
-  };
+  /// pair_of_synapse value of a synapse delivered on its own crossbar.
+  static constexpr std::uint32_t kLocal = static_cast<std::uint32_t>(-1);
 
-  /// Marks synapses (by Network synapse index) whose deliveries the
-  /// co-simulator carries over the interconnect.  Callable before the first
-  /// step and again between closed steps (the fault path re-cuts after a
-  /// mid-run remap); throws std::logic_error with a deferred step open,
-  /// and std::invalid_argument on a size mismatch or when a
-  /// marked synapse is plastic while STDP is enabled (a cut synapse's
-  /// weight lives on the remote crossbar, out of reach of the local
-  /// pair-based STDP bookkeeping; with STDP off the flag is inert and the
-  /// cut is safe).
-  void cut_remote_synapses(const std::vector<std::uint8_t>& cut);
+  /// Assigns each synapse (by Network synapse index) the packet copy that
+  /// carries it, a pair id in [0, pair_count), or kLocal.  Callable before
+  /// the first step and again between closed steps (the fault path
+  /// re-cuts after a mid-run remap); throws std::logic_error with a
+  /// deferred step open, and std::invalid_argument on a size mismatch, a
+  /// pair id >= pair_count, or a cut synapse that is plastic while STDP is
+  /// enabled (a cut synapse's weight lives on the remote crossbar, out of
+  /// reach of the local pair-based STDP bookkeeping; with STDP off the
+  /// flag is inert and the cut is safe).  A rejected call leaves the
+  /// previous assignment intact.
+  void cut_remote_synapses(const std::vector<std::uint32_t>& pair_of_synapse,
+                           std::uint32_t pair_count);
 
   /// Like step(), but records the step's spikes without delivering them and
   /// leaves the step open until flush_deferred().
@@ -147,26 +153,30 @@ class Simulator {
     return deferred_spikes_;
   }
 
-  /// Number of cut fan-out records across the open step's spikes — the
-  /// verdict count flush_deferred() expects.
-  std::size_t deferred_remote_records() const noexcept {
-    return pending_remote_records_;
-  }
-
   /// An externally-timed weighted arrival (a packet decoded by this
   /// crossbar during the open step): `post` receives `weight` exactly
   /// `delay_steps` steps after the open step — the timing a local spike in
   /// this step would have.  Only legal between step_deferred() and
   /// flush_deferred(); delay_steps must be within the engine's delay ring
-  /// (>= 1, <= the max synaptic delay).
-  void inject_remote(NeuronId post, double weight, std::uint16_t delay_steps);
+  /// (>= 1, <= the max synaptic delay).  Inline: a late copy calls it once
+  /// per record.
+  void inject_remote(NeuronId post, double weight, std::uint16_t delay_steps) {
+    if (!in_deferred_step_ || post >= neuron_count_ || delay_steps == 0 ||
+        delay_steps >= ring_) [[unlikely]] {
+      reject_inject(post, delay_steps);
+    }
+    std::size_t arrive = slot_ + delay_steps;
+    if (arrive >= ring_) arrive -= ring_;
+    pending_[arrive * neuron_count_ + post] += weight;
+  }
 
   /// Closes the open deferred step: replays every spike's delivery/STDP
-  /// sequence in the inline order, consuming one verdict per cut record
-  /// (enumerated spike order, then fan-out slot order), then performs the
-  /// end-of-step bookkeeping.  Throws when no step is open or the verdict
-  /// count mismatches deferred_remote_records().
-  void flush_deferred(const std::vector<RemoteVerdict>& verdicts);
+  /// sequence in the inline order, delivering a cut slot only when
+  /// `landed[its pair] != 0`, then performs the end-of-step bookkeeping.
+  /// Throws std::logic_error when no step is open and
+  /// std::invalid_argument unless landed.size() equals the pair_count of
+  /// the last cut_remote_synapses() call (0 before any).
+  void flush_deferred(const std::vector<std::uint8_t>& landed);
 
  private:
   /// Everything step() needs for one group, hoisted out of the inner loop.
@@ -191,15 +201,17 @@ class Simulator {
   /// Clears this step's consumed inputs and advances the ring/clock (the
   /// tail of the inline step()).
   void finish_step();
-  /// on_spike with per-cut-record verdicts (flush replay path).
-  void replay_spike(NeuronId neuron, const RemoteVerdict* verdicts,
-                    std::size_t& cursor);
-  /// General-order delivery that skips withheld cut records; addition order
-  /// matches deliver_spike/deliver_spike_plastic bit for bit.
-  void deliver_spike_filtered(NeuronId neuron, const RemoteVerdict* verdicts,
-                              std::size_t& cursor);
-  void deliver_spike(NeuronId neuron);
-  void deliver_spike_plastic(NeuronId neuron);
+  /// Delivery that skips the cut slots whose pair did not land (flush
+  /// path); same slot order, so the same bits as on_spike's delivery.
+  void deliver_spike_landed(NeuronId neuron, const std::uint8_t* landed);
+  /// Throws inject_remote's error for the first guard the call breaks.
+  [[noreturn, gnu::cold]] void reject_inject(NeuronId post,
+                                             std::uint16_t delay_steps) const;
+  /// Delivers fan-out slots [begin, end) of `neuron` through the fast path
+  /// its fan-out shape allows (no STDP).
+  void deliver_slots(NeuronId neuron, std::uint32_t begin, std::uint32_t end);
+  /// Delivers slots [begin, end) one by one, applying STDP to plastic ones.
+  void deliver_slots_plastic(std::uint32_t begin, std::uint32_t end);
   void apply_stdp_on_pre(std::uint32_t slot);
   void apply_stdp_on_post(NeuronId post);
 
@@ -238,11 +250,16 @@ class Simulator {
 
   // Co-simulation seam state (inert unless cut_remote_synapses /
   // step_deferred are used).
-  std::vector<std::uint8_t> csr_cut_;      ///< per fan-out slot, 1 = cut
-  std::vector<std::uint32_t> cut_count_;   ///< cut records per pre neuron
-  std::vector<std::uint8_t> fan_has_cut_;  ///< 1 = any cut outgoing record
+  // A neuron with any cut slot has its fan-out split into runs of
+  // consecutive slots that share a pair (or are all local):
+  // cut_run_offsets_[pre] .. cut_run_offsets_[pre + 1] index the runs, and
+  // run r ends before slot cut_run_end_[r].  Neurons without cut slots
+  // have no runs.
+  std::vector<std::uint32_t> cut_run_offsets_;
+  std::vector<std::uint32_t> cut_run_end_;
+  std::vector<std::uint32_t> cut_run_pair_;  ///< pair id or kLocal
+  std::uint32_t pair_count_ = 0;             ///< landed flags flush expects
   std::vector<NeuronId> deferred_spikes_;
-  std::size_t pending_remote_records_ = 0;
   bool in_deferred_step_ = false;
 
   // Delay ring buffer, one flat ring x neuron_count block:

@@ -23,10 +23,11 @@ namespace {
 
 /// Two Poisson-driven LIF populations wired across both directions, with a
 /// multi-step delay so remote timing matters.
-snn::Network two_block_network(std::uint64_t wiring_seed = 5) {
+snn::Network two_block_network(std::uint64_t wiring_seed = 5,
+                               double input_hz = 60.0) {
   snn::Network net;
   util::Rng rng(wiring_seed);
-  const auto in = net.add_poisson_group("in", 12, 60.0);
+  const auto in = net.add_poisson_group("in", 12, input_hz);
   const auto a = net.add_lif_group("a", 12);
   const auto b = net.add_lif_group("b", 12);
   net.connect_random(in, a, 0.7, snn::WeightSpec::uniform(9.0, 14.0), rng);
@@ -336,6 +337,71 @@ TEST(CoSimulator, LateCopyInjectsOnlyItsTilesRecordsInFanOutOrder) {
   EXPECT_LT(spikes[2].front(), spikes[3].front());
 }
 
+TEST(CoSimulator, StdpWithoutPlasticSynapsesMatchesStdpOffUnderCongestion) {
+  // Oracle: with no plastic synapse the STDP switch only changes which
+  // delivery path the flush takes, so a congested run (late copies on
+  // every window) must not move by a bit.  A flush that delivered an
+  // un-landed cut record on the STDP path would fire extra spikes here.
+  auto off = base_config(200.0, /*cpt=*/3);
+  auto on = off;
+  on.snn.enable_stdp = true;
+  const CoSimResult a = run_two_block(off);
+  const CoSimResult b = run_two_block(on);
+  EXPECT_GT(a.fidelity.deadline_misses, 0u);
+  EXPECT_EQ(a.snn.total_spikes, b.snn.total_spikes);
+  EXPECT_EQ(a.snn.spikes, b.snn.spikes);
+  EXPECT_EQ(a.fidelity.deadline_misses, b.fidelity.deadline_misses);
+  EXPECT_EQ(a.fidelity.copies_accepted, b.fidelity.copies_accepted);
+  EXPECT_EQ(a.fidelity.per_step_misses, b.fidelity.per_step_misses);
+}
+
+/// The co-simulator's bookkeeping after a run that shipped nothing: every
+/// step ran, no packet was offered and nothing is left in flight.
+void expect_ran_empty(const CoSimResult& r, const CoSimConfig& config) {
+  const std::uint64_t steps = snn::simulation_step_count(config.snn);
+  EXPECT_EQ(r.fidelity.steps, steps);
+  EXPECT_EQ(r.fidelity.per_step_cycles.size(), steps);
+  EXPECT_DOUBLE_EQ(r.snn.duration_ms,
+                   static_cast<double>(steps) * config.snn.dt_ms);
+  EXPECT_EQ(r.fidelity.packets_offered, 0u);
+  EXPECT_EQ(r.fidelity.copies_offered, 0u);
+  EXPECT_EQ(r.fidelity.undelivered, 0u);
+  EXPECT_EQ(r.resilience.pending_at_end, 0u);
+  EXPECT_EQ(r.noc.copies_delivered, 0u);
+}
+
+TEST(CoSimulator, EmptyNetworkRunsEveryStepAndShipsNothing) {
+  snn::Network net;
+  const core::Partition partition(0, 1);
+  noc::Topology topology = noc::Topology::ring(2);
+  const auto config = base_config(50.0);
+  CoSimulator sim(net, partition, core::Placement{0}, std::move(topology),
+                  config);
+  const CoSimResult r = sim.run();
+  expect_ran_empty(r, config);
+  EXPECT_TRUE(r.snn.spikes.empty());
+  EXPECT_EQ(r.snn.total_spikes, 0u);
+}
+
+TEST(CoSimulator, SilentNetworkMatchesStandalone) {
+  // Zero-rate input: the cut a <-> b synapses exist but never carry a
+  // spike, so the loop offers nothing and equals the standalone engine.
+  snn::Network net = two_block_network(5, /*input_hz=*/0.0);
+  const auto partition = two_block_partition(net);
+  noc::Topology topology = noc::Topology::ring(2);
+  const auto placement = core::identity_placement(2, topology);
+  const auto config = base_config(50.0);
+  CoSimulator sim(net, partition, placement, std::move(topology), config);
+  const CoSimResult r = sim.run();
+  expect_ran_empty(r, config);
+
+  snn::Network reference = two_block_network(5, /*input_hz=*/0.0);
+  const auto standalone = snn::Simulator(reference, config.snn).run();
+  EXPECT_EQ(r.snn.total_spikes, standalone.total_spikes);
+  EXPECT_EQ(r.snn.spikes, standalone.spikes);
+  EXPECT_EQ(r.snn.duration_ms, standalone.duration_ms);
+}
+
 TEST(SpikeDivergence, CountsAndFraction) {
   const std::vector<snn::SpikeTrain> a = {{1.0, 2.0, 3.0}, {}, {5.0}};
   const std::vector<snn::SpikeTrain> b = {{1.0, 2.5, 3.0}, {4.0}, {5.0}};
@@ -350,9 +416,38 @@ TEST(SpikeDivergence, CountsAndFraction) {
 
 // --- the snn::Simulator deferred seam itself ----------------------------
 
+/// Pair assignment for Simulator::cut_remote_synapses: a synapse is cut
+/// when its endpoints sit in different blocks, and each (pre, block of
+/// post) gets its own pair id, numbered in synapse order.
+struct PairAssignment {
+  std::vector<std::uint32_t> pair_of_synapse;
+  std::uint32_t pair_count = 0;
+};
+
+template <typename BlockOf>
+PairAssignment pairs_by_block(const snn::Network& net, BlockOf block_of) {
+  PairAssignment out;
+  out.pair_of_synapse.assign(net.synapses().size(), snn::Simulator::kLocal);
+  std::vector<std::vector<std::uint32_t>> ids(net.neuron_count());
+  for (std::size_t s = 0; s < net.synapses().size(); ++s) {
+    const snn::Synapse& syn = net.synapses()[s];
+    const std::uint32_t block = block_of(syn.post);
+    if (block_of(syn.pre) == block) continue;
+    auto& row = ids[syn.pre];
+    if (row.size() <= block) row.resize(block + 1, snn::Simulator::kLocal);
+    if (row[block] == snn::Simulator::kLocal) row[block] = out.pair_count++;
+    out.pair_of_synapse[s] = row[block];
+  }
+  return out;
+}
+
+PairAssignment two_block_pairs(const snn::Network& net) {
+  return pairs_by_block(net, [](snn::NeuronId i) { return i < 24 ? 0u : 1u; });
+}
+
 TEST(DeferredSeam, AllDeliverVerdictsMatchInlineStepBitForBit) {
-  // Even with cut synapses marked, a flush where every packet "arrived
-  // in-window" must reproduce the inline engine exactly.
+  // Even with cut synapses marked, a flush where every packet copy landed
+  // in-window must reproduce the inline engine exactly.
   snn::Network inline_net = two_block_network();
   snn::SimulationConfig config;
   config.duration_ms = 150.0;
@@ -362,26 +457,21 @@ TEST(DeferredSeam, AllDeliverVerdictsMatchInlineStepBitForBit) {
 
   snn::Network deferred_net = two_block_network();
   snn::Simulator deferred(deferred_net, config);
-  std::vector<std::uint8_t> cut(deferred_net.synapses().size(), 0);
-  const auto& synapses = deferred_net.synapses();
-  for (std::size_t s = 0; s < synapses.size(); ++s) {
-    cut[s] = (synapses[s].pre < 24) != (synapses[s].post < 24) ? 1 : 0;
-  }
-  deferred.cut_remote_synapses(cut);
+  const PairAssignment pairs = two_block_pairs(deferred_net);
+  ASSERT_GT(pairs.pair_count, 0u);
+  deferred.cut_remote_synapses(pairs.pair_of_synapse, pairs.pair_count);
+  const std::vector<std::uint8_t> landed(pairs.pair_count, 1);
   for (int step = 0; step < 150; ++step) {
     deferred.step_deferred();
-    const std::vector<snn::Simulator::RemoteVerdict> verdicts(
-        deferred.deferred_remote_records(),
-        snn::Simulator::RemoteVerdict::kDeliver);
-    deferred.flush_deferred(verdicts);
+    deferred.flush_deferred(landed);
   }
   EXPECT_EQ(deferred.result().spikes, inline_result.spikes);
   EXPECT_EQ(deferred.total_spikes(), inline_result.total_spikes);
 }
 
 TEST(DeferredSeam, WithholdSuppressesExactlyTheCutDeliveries) {
-  // Withholding every cut record must equal simulating a network where the
-  // cut synapses have zero weight.
+  // No pair landing must equal simulating a network where the cut
+  // synapses have zero weight.
   snn::Network zeroed = two_block_network();
   for (auto& s : zeroed.mutable_synapses()) {
     if ((s.pre < 24) != (s.post < 24)) s.weight = 0.0F;
@@ -394,20 +484,100 @@ TEST(DeferredSeam, WithholdSuppressesExactlyTheCutDeliveries) {
 
   snn::Network net = two_block_network();
   snn::Simulator deferred(net, config);
-  std::vector<std::uint8_t> cut(net.synapses().size(), 0);
-  const auto& synapses = net.synapses();
-  for (std::size_t s = 0; s < synapses.size(); ++s) {
-    cut[s] = (synapses[s].pre < 24) != (synapses[s].post < 24) ? 1 : 0;
-  }
-  deferred.cut_remote_synapses(cut);
+  const PairAssignment pairs = two_block_pairs(net);
+  deferred.cut_remote_synapses(pairs.pair_of_synapse, pairs.pair_count);
+  const std::vector<std::uint8_t> landed(pairs.pair_count, 0);
   for (int step = 0; step < 150; ++step) {
     deferred.step_deferred();
-    const std::vector<snn::Simulator::RemoteVerdict> verdicts(
-        deferred.deferred_remote_records(),
-        snn::Simulator::RemoteVerdict::kWithhold);
-    deferred.flush_deferred(verdicts);
+    deferred.flush_deferred(landed);
   }
   EXPECT_EQ(deferred.result().spikes, zero_result.spikes);
+}
+
+/// Three LIF populations fed by a Poisson input, on three blocks by
+/// neuron id mod 3, so every neuron's fan-out interleaves local records
+/// with records of two pairs:
+///   * in -> a (connect_full, one delay): contiguous fan-outs;
+///   * a -> b (random, one delay): scattered fan-outs;
+///   * b -> a (delay 3) and b -> c (delay 1): mixed-delay fan-outs;
+///   * a -> c, plastic, only between neurons of one block: local plastic
+///     slots among a's cut ones, for the STDP path.
+snn::Network three_shape_network() {
+  snn::Network net;
+  util::Rng rng(17);
+  const auto in = net.add_poisson_group("in", 9, 70.0);
+  const auto a = net.add_lif_group("a", 12);
+  const auto b = net.add_lif_group("b", 12);
+  const auto c = net.add_lif_group("c", 9);
+  net.connect_full(in, a, snn::WeightSpec::uniform(4.0, 7.0), rng);
+  net.connect_random(a, b, 0.5, snn::WeightSpec::uniform(8.0, 12.0), rng,
+                     /*delay=*/2);
+  net.connect_random(b, a, 0.4, snn::WeightSpec::uniform(-4.0, -2.0), rng,
+                     /*delay=*/3);
+  net.connect_random(b, c, 0.5, snn::WeightSpec::uniform(9.0, 13.0), rng,
+                     /*delay=*/1);
+  for (snn::NeuronId pre = net.group(a).first; pre < net.group(a).last();
+       ++pre) {
+    for (snn::NeuronId post = net.group(c).first;
+         post < net.group(c).last(); ++post) {
+      if (pre % 3 == post % 3) {
+        net.add_synapse(pre, post, 5.0, /*delay=*/2, /*plastic=*/true);
+      }
+    }
+  }
+  return net;
+}
+
+TEST(DeferredSeam, PartialLandingEqualsZeroingThoseCopiesSynapses) {
+  // Odd pairs never land, even pairs always do: the run must equal the
+  // network with exactly the odd pairs' synapses zeroed, on contiguous,
+  // scattered and mixed-delay fan-outs, with STDP off and on.
+  const auto block_of = [](snn::NeuronId i) { return i % 3; };
+  for (const bool stdp : {false, true}) {
+    SCOPED_TRACE(stdp ? "stdp on" : "stdp off");
+    snn::SimulationConfig config;
+    config.duration_ms = 200.0;
+    config.seed = 8;
+    config.enable_stdp = stdp;
+
+    snn::Network net = three_shape_network();
+    const PairAssignment pairs = pairs_by_block(net, block_of);
+    ASSERT_GT(pairs.pair_count, 1u);
+    std::vector<std::uint8_t> landed(pairs.pair_count);
+    for (std::uint32_t p = 0; p < pairs.pair_count; ++p) {
+      landed[p] = p % 2 == 0 ? 1 : 0;
+    }
+    snn::Simulator deferred(net, config);
+    deferred.cut_remote_synapses(pairs.pair_of_synapse, pairs.pair_count);
+    for (int step = 0; step < 200; ++step) {
+      deferred.step_deferred();
+      deferred.flush_deferred(landed);
+    }
+
+    snn::Network zeroed = three_shape_network();
+    std::size_t withheld = 0;
+    for (std::size_t s = 0; s < zeroed.synapses().size(); ++s) {
+      const std::uint32_t pair = pairs.pair_of_synapse[s];
+      if (pair != snn::Simulator::kLocal && landed[pair] == 0) {
+        zeroed.mutable_synapses()[s].weight = 0.0F;
+        ++withheld;
+      }
+    }
+    ASSERT_GT(withheld, 0u);
+    const auto expected = snn::Simulator(zeroed, config).run();
+
+    EXPECT_GT(expected.total_spikes, 0u);
+    EXPECT_EQ(deferred.total_spikes(), expected.total_spikes);
+    EXPECT_EQ(deferred.result().spikes, expected.spikes);
+    // Landed and local synapses, plastic ones included, end at the same
+    // weights; only the withheld ones differ (zeroed in the reference).
+    for (std::size_t s = 0; s < net.synapses().size(); ++s) {
+      const std::uint32_t pair = pairs.pair_of_synapse[s];
+      if (pair != snn::Simulator::kLocal && landed[pair] == 0) continue;
+      EXPECT_EQ(net.synapses()[s].weight, zeroed.synapses()[s].weight)
+          << "synapse " << s;
+    }
+  }
 }
 
 TEST(DeferredSeam, InjectRemoteFiresAQuietNeuron) {
@@ -438,12 +608,22 @@ TEST(DeferredSeam, GuardsMisuse) {
   snn::Network net = two_block_network();
   snn::SimulationConfig config;
   snn::Simulator sim(net, config);
+  const std::vector<std::uint32_t> all_local(net.synapses().size(),
+                                             snn::Simulator::kLocal);
   // Flush without an open step.
   EXPECT_THROW(sim.flush_deferred({}), std::logic_error);
   // inject_remote outside an open step.
   EXPECT_THROW(sim.inject_remote(0, 1.0, 1), std::logic_error);
-  // Wrong mask size.
-  EXPECT_THROW(sim.cut_remote_synapses({1, 0}), std::invalid_argument);
+  // Wrong assignment size.
+  EXPECT_THROW(sim.cut_remote_synapses({0, snn::Simulator::kLocal}, 1),
+               std::invalid_argument);
+  // A pair id at or past pair_count.
+  std::vector<std::uint32_t> out_of_range = all_local;
+  out_of_range[0] = 2;
+  EXPECT_THROW(sim.cut_remote_synapses(out_of_range, 2),
+               std::invalid_argument);
+  const PairAssignment pairs = two_block_pairs(net);
+  sim.cut_remote_synapses(pairs.pair_of_synapse, pairs.pair_count);
 
   sim.step_deferred();
   // step()/step_deferred() while a step is open.
@@ -454,24 +634,26 @@ TEST(DeferredSeam, GuardsMisuse) {
   EXPECT_THROW(sim.inject_remote(0, 1.0, 200), std::invalid_argument);
   EXPECT_THROW(sim.inject_remote(net.neuron_count(), 1.0, 1),
                std::out_of_range);
-  // Verdict count mismatch (records pending but none supplied... or the
-  // inverse: supply one too many).
-  std::vector<snn::Simulator::RemoteVerdict> extra(
-      sim.deferred_remote_records() + 1,
-      snn::Simulator::RemoteVerdict::kDeliver);
-  EXPECT_THROW(sim.flush_deferred(extra), std::invalid_argument);
-  // Cutting with a deferred step open is rejected (the pending verdict
-  // stream was enumerated under the old mask)...
-  EXPECT_THROW(
-      sim.cut_remote_synapses(
-          std::vector<std::uint8_t>(net.synapses().size(), 0)),
-      std::logic_error);
+  // Landed-flag count mismatch: one flag short, one too many.
+  EXPECT_THROW(sim.flush_deferred(
+                   std::vector<std::uint8_t>(pairs.pair_count - 1, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(sim.flush_deferred(
+                   std::vector<std::uint8_t>(pairs.pair_count + 1, 1)),
+               std::invalid_argument);
+  // Cutting with a deferred step open is rejected (its spikes were
+  // recorded under the old pairs)...
+  EXPECT_THROW(sim.cut_remote_synapses(all_local, 0), std::logic_error);
   // ...but re-cutting between closed steps is legal (the remap-on-failure
-  // path re-cuts mid-run after an evacuation).
-  sim.flush_deferred(std::vector<snn::Simulator::RemoteVerdict>(
-      sim.deferred_remote_records(), snn::Simulator::RemoteVerdict::kDeliver));
-  EXPECT_NO_THROW(sim.cut_remote_synapses(
-      std::vector<std::uint8_t>(net.synapses().size(), 0)));
+  // path re-cuts mid-run after an evacuation), and the flush then expects
+  // the new pair count.
+  sim.flush_deferred(std::vector<std::uint8_t>(pairs.pair_count, 1));
+  EXPECT_NO_THROW(sim.cut_remote_synapses(all_local, 0));
+  sim.step_deferred();
+  EXPECT_THROW(sim.flush_deferred(
+                   std::vector<std::uint8_t>(pairs.pair_count, 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sim.flush_deferred({}));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <numeric>
 #include <vector>
 
+#include "../snn/golden_scenarios.hpp"
 #include "core/partition.hpp"
 #include "core/placement.hpp"
 #include "cosim/cosim.hpp"
@@ -23,6 +24,7 @@
 #include "snn/network.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "test_mappings.hpp"
 
 namespace snnmap::cosim {
 namespace {
@@ -220,6 +222,36 @@ TEST(CoSimGolden, RemapOnTileFaultWithLateCopiesInFlight) {
             0u);
   expect_digests(r, {11050020897373753630ULL, 13618359036558718372ULL,
                      4738176584847948711ULL});
+}
+
+TEST(CoSimGolden, LiveStdpUnderCongestion) {
+  // The golden network with its input projection plastic and STDP live,
+  // on a plastic-safe mapping (in + a share a crossbar, b and c each get
+  // one) with a budget too small for the fabric: late copies inject on the
+  // late path while the local plastic synapses keep learning.  Pins the
+  // spike log, the final weights and the fidelity counters.
+  snn::Network net = golden_network();
+  for (snn::Synapse& s : net.mutable_synapses()) {
+    s.plastic = s.pre < kPerPopulation;  // in -> a
+  }
+  const core::Partition partition = test::plastic_safe_partition(net);
+  noc::Topology topology = noc::Topology::tree(partition.crossbar_count(), 4);
+  const core::Placement placement =
+      core::identity_placement(partition.crossbar_count(), topology);
+  CoSimConfig config = golden_config(3);
+  config.snn.enable_stdp = true;
+  config.snn.stdp.w_max = 16.0;
+  CoSimulator sim(net, partition, placement, std::move(topology), config);
+  const CoSimResult r = sim.run();
+  EXPECT_EQ(partition.crossbar_count(), 3u);
+  EXPECT_GT(r.fidelity.deadline_misses, 0u);
+  const snn::golden::Digest snn_digest = snn::golden::digest_of(net, r.snn);
+  // STDP really ran: the final weights differ from the wired ones.
+  EXPECT_NE(snn_digest.weights_hash,
+            snn::golden::digest_of(golden_network(), r.snn).weights_hash);
+  EXPECT_EQ(snn_digest.spikes_hash, 17638028561455569237ULL);
+  EXPECT_EQ(snn_digest.weights_hash, 13171569570475714424ULL);
+  EXPECT_EQ(digest_of(r).fidelity, 14417215451252735681ULL);
 }
 
 }  // namespace
